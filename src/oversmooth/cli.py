@@ -7,7 +7,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .harness import SUITE_NAMES, CheckResult, ExperimentConfig, parse_config_file
+from .harness import SUITE_NAMES, CheckResult, ExperimentConfig, parse_config_file, run_suite
 
 _REGIME_FROM_CLI = {"none": "none", "hoelder": "hoelder", "low-order": "low_order"}
 
@@ -92,17 +92,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = _config_from_args(args)
-        if args.command == "suite":
-            names = args.names or list(SUITE_NAMES)
-            unknown = [n for n in names if n not in SUITE_NAMES]
-            if unknown:
-                raise ValueError(f"unknown suite name(s): {', '.join(unknown)}")
-            results = [SUITE_NAMES[name](cfg) for name in names]
-        else:
-            results = [SUITE_NAMES[args.command](cfg)]
+        names = args.names if args.command == "suite" else [args.command]
+        results = run_suite(names, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # An uncertified rate study or a QuadratureError (a RuntimeError subclass).
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return _emit(results, args.out)
 
 

@@ -2,12 +2,12 @@
 
 A rate study sweeps the noise level over a decreasing list, picks alpha by the
 configured a priori rule, runs the certified Tikhonov solver for each level
-(warm-starting each solve from the previous, larger level), and summarizes the
-sup-norm reconstruction errors: a fitted log-log slope for the Hoelder regime,
-a boundedness statistic error * log(1/delta) for the low-order regime, and a
-monotone-decrease check when no smoothness is constructed.  Reports freeze to
-CSV and JSON; identical configuration and seeds give byte-identical output
-(the JSON timestamp is injectable for that purpose).
+and noise draw, and summarizes the sup-norm reconstruction errors: a fitted
+log-log slope for the Hoelder regime, a boundedness statistic
+error * log(1/delta) for the low-order regime, and a monotone-decrease check
+when no smoothness is constructed.  Reports freeze to CSV and JSON; identical
+configuration and seeds give byte-identical output (the JSON timestamp is
+injectable for that purpose).
 """
 
 from __future__ import annotations
@@ -70,12 +70,10 @@ class ExperimentConfig:
     seed: int = 0
     n_seeds: int = 5
     noise_kind: str = "random_sign"
-    warm_chaining: bool = False
     tail_tol: float = 1e-6
     quad_step: float = 0.05
     slope_tolerance: float = 0.12
     bounded_ratio_limit: float = 5.0
-    n_random_starts: int = 1
     max_iter: int = 300
 
     def __post_init__(self) -> None:
@@ -189,7 +187,6 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     kap = coupling_exponent(cfg.r, cfg.a)
 
     rows: list[RateRow] = []
-    warm = [None] * cfg.n_seeds
     for i, delta in enumerate(cfg.delta_list):
         alpha = choose_alpha(pc, delta, cfg.r, cfg.a)
         draws = []
@@ -207,20 +204,9 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
                 a=cfg.a,
             )
             try:
-                res = minimize(
-                    prob,
-                    fam,
-                    u_true,
-                    seed=seed,
-                    warm_start=warm[j] if cfg.warm_chaining else None,
-                    n_random_starts=cfg.n_random_starts,
-                    max_iter=cfg.max_iter,
-                    cfg=quad,
-                )
+                res = minimize(prob, fam, u_true, max_iter=cfg.max_iter, cfg=quad)
             except UncertifiedResultError as exc:
                 res = exc.result
-            if res.certified:
-                warm[j] = res.v_min
             draws.append(((res.u_min - u_true).sup_norm(), res.residual, res.penalty))
             certs.append(res.certified)
         err, residual, penalty = max(draws, key=lambda t: t[0])
@@ -451,10 +437,8 @@ def parse_config_file(path: str | Path, base: ExperimentConfig | None = None) ->
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         if key == "delta_list":
             overrides[key] = tuple(float(tok) for tok in value.split(",") if tok.strip())
-        elif key in ("grid_n", "m", "seed", "n_seeds", "n_random_starts", "max_iter"):
+        elif key in ("grid_n", "m", "seed", "n_seeds", "max_iter"):
             overrides[key] = int(value)
-        elif key == "warm_chaining":
-            overrides[key] = value.strip().lower() in ("1", "true", "yes", "on")
         elif key in ("regime", "noise_kind"):
             overrides[key] = value
         else:

@@ -13,8 +13,9 @@ Every returned minimizer carries a certificate: its true objective does not
 exceed T at the auxiliary element u_aux(beta) with beta = alpha^kappa,
 kappa = 1/(r(1+a)).  That single inequality is exactly what the error
 estimates behind the rate theory require of a minimizer, so certified
-approximate minimizers inherit the theory; the auxiliary witness is included
-among the starts, which makes certification achievable by construction.
+approximate minimizers inherit the theory; the descent starts at the
+auxiliary witness and keeps it as a candidate, which makes certification
+achievable by construction.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ class MinimizeResult:
 
 
 class UncertifiedResultError(RuntimeError):
-    """All restarts failed to reach the certificate; carries the best point found."""
+    """The minimizer missed the certificate; carries the best point found."""
 
     def __init__(self, message: str, result: MinimizeResult):
         super().__init__(message)
@@ -250,36 +251,23 @@ def _descend(prob: TikhonovProblem, v0: np.ndarray, max_iter: int) -> list[np.nd
     return out
 
 
-#: Relative improvement an exploration start must deliver to preempt the
-#: anchored result; smaller differences are plateau noise of the nonsmooth
-#: objective, where a deterministic selection matters more than the last digit.
-BASIN_ESCAPE_RTOL = 0.25
-
-
 def minimize(
     prob: TikhonovProblem,
     fam: RegularizerFamily,
     u_true_for_certificate: GridFunction,
     seed: int = 0,
-    warm_start: GridFunction | None = None,
-    n_random_starts: int = 1,
     max_iter: int = 300,
     budget: int = 1,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> MinimizeResult:
     """Certified approximate minimization of T over the witness slice.
 
-    The primary descent is anchored at the auxiliary-element witness for
+    The descent is anchored at the auxiliary-element witness for
     beta = alpha^kappa, the comparison point the error analysis is built on;
     ``budget`` repeats the annealing sweep from its own endpoint, and the
-    anchored result is the true-T argmin over that chain (including the raw
-    anchor, so its objective never exceeds the certificate bound).
-    Exploration starts (zero, an optional warm start, seeded random points
-    nested in the seed sequence) guard against the anchored descent landing
-    in a genuinely worse basin: they preempt it only when they improve the
-    objective by more than BASIN_ESCAPE_RTOL relative.  Within the minimizer
-    plateau, where candidates differ by fractions of a percent, the anchored
-    selection keeps the reported point deterministic and scale-adapted.
+    result is the true-T argmin over that chain (including the raw anchor, so
+    its objective never exceeds the certificate bound).  The solve is
+    deterministic: ``seed`` is accepted for call compatibility and unused.
     """
     op = prob.forward_problem.op
     kap = coupling_exponent(prob.r, prob.a)
@@ -288,39 +276,11 @@ def minimize(
     g_bar = op._apply_values(prob.u_bar.values)
     bound, _, _ = _true_objective(prob, g_bar, aux.witness.values)
 
-    def best_of(pool: list[np.ndarray]) -> tuple[tuple[float, float, float], np.ndarray]:
-        top = None
-        top_v = pool[0]
-        for v in pool:
-            trip = _true_objective(prob, g_bar, v)
-            if top is None or trip[0] < top[0]:
-                top, top_v = trip, v
-        return top, top_v
-
-    anchored: list[np.ndarray] = [np.array(aux.witness.values)]
-    v = anchored[0]
+    chain: list[np.ndarray] = [np.array(aux.witness.values)]
     for _ in range(max(budget, 1)):
-        ends = _descend(prob, v, max_iter)
-        anchored.extend(ends)
-        v = ends[-1]
-    best, best_v = best_of(anchored)
-
-    exploration: list[np.ndarray] = [np.zeros(op.n)]
-    if warm_start is not None:
-        exploration.append(np.array(warm_start.values))
-    rng = np.random.default_rng(seed)
-    scale = max(aux.witness.sup_norm(), 1.0)
-    for _ in range(n_random_starts):
-        exploration.append(rng.uniform(-scale, scale, op.n))
-    pool = []
-    for v0 in exploration:
-        pool.append(v0)
-        pool.extend(_descend(prob, v0, max_iter))
-    alt, alt_v = best_of(pool)
-    if alt[0] < best[0] * (1.0 - BASIN_ESCAPE_RTOL):
-        best, best_v = alt, alt_v
-
-    obj, residual, penalty = best
+        chain.extend(_descend(prob, chain[-1], max_iter))
+    best_v = min(chain, key=lambda v: _true_objective(prob, g_bar, v)[0])
+    obj, residual, penalty = _true_objective(prob, g_bar, best_v)
     certified = obj <= bound * (1.0 + CERTIFICATE_RTOL)
     result = MinimizeResult(
         u_min=GridFunction(prob.u_bar.values + op._apply_values(best_v)),

@@ -6,7 +6,8 @@ import pytest
 
 from oversmooth import ExperimentConfig, fit_slope, run_rate_study, run_suite
 from oversmooth.cli import main
-from oversmooth.harness import parse_config_file
+from oversmooth.harness import SUITE_NAMES, parse_config_file
+from oversmooth.scale import QuadratureError
 
 
 def fast_config(**overrides):
@@ -75,7 +76,6 @@ def test_config_file_parsing(tmp_path):
         regime = low_order
         delta_list = 1e-1, 1e-2, 1e-3
         n_seeds = 2
-        warm_chaining = true
         c_alpha = 2.5
         """
     )
@@ -84,13 +84,20 @@ def test_config_file_parsing(tmp_path):
     assert cfg.regime == "low_order"
     assert cfg.delta_list == (1e-1, 1e-2, 1e-3)
     assert cfg.n_seeds == 2
-    assert cfg.warm_chaining is True
     assert cfg.c_alpha == 2.5
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("grid_m = 10\n")
+    with pytest.raises(ValueError, match="unknown config key"):
+        parse_config_file(path)
+
+
+@pytest.mark.parametrize("line", ["warm_chaining = true", "n_random_starts = 2"])
+def test_config_file_rejects_removed_solver_keys(tmp_path, line):
+    path = tmp_path / "old.cfg"
+    path.write_text(line + "\n")
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config_file(path)
 
@@ -181,6 +188,24 @@ def test_run_suite_subset():
 def test_cli_usage_error():
     assert main(["suite", "not-a-suite"]) == 2
     assert main(["rate-study", "--regime", "bogus"]) == 2
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        RuntimeError("rate study failed: only 3 of 8 solves certified"),
+        QuadratureError("fractional power quadrature failed for q=0.5"),
+    ],
+)
+def test_cli_runtime_failure_exit_code(monkeypatch, capsys, exc):
+    def failing_suite(cfg):
+        raise exc
+
+    monkeypatch.setitem(SUITE_NAMES, "decay-check", failing_suite)
+    assert main(["decay-check"]) == 3
+    assert main(["suite", "decay-check"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {exc}"] * 2
 
 
 def test_cli_decay_check(capsys, tmp_path):

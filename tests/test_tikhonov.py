@@ -198,6 +198,16 @@ def test_minimize_deterministic(setup):
     assert a.objective == b.objective
 
 
+def test_minimize_ignores_seed(setup):
+    # The solve is deterministic; a seeded random start would break this.
+    problem, fam, u_true = setup
+    prob = make_prob(problem, 1e-2, 1e-2, seed=8)
+    a = minimize(prob, fam, u_true, seed=0)
+    b = minimize(prob, fam, u_true, seed=12345)
+    assert np.array_equal(a.v_min.values, b.v_min.values)
+    assert a.objective == b.objective
+
+
 def test_smoothed_gradient_matches_finite_differences(op64, quad):
     # Directional derivatives of the fixed-temperature surrogate at n = 64.
     u_true = make_truth("hoelder", op64, p=1.0, cfg=quad)
