@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -422,9 +422,9 @@ def run_suite(names: Sequence[str], cfg: ExperimentConfig | None = None) -> list
 
 
 def parse_config_file(path: str | Path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Read a key = value text file mirroring ExperimentConfig fields."""
+    """Read a key = value text file of ExperimentConfig fields, each parsed as its annotated type."""
     base = base if base is not None else ExperimentConfig()
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    types = get_type_hints(ExperimentConfig)
     overrides: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -433,14 +433,10 @@ def parse_config_file(path: str | Path, base: ExperimentConfig | None = None) ->
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in fields:
+        if key not in types:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         if key == "delta_list":
             overrides[key] = tuple(float(tok) for tok in value.split(",") if tok.strip())
-        elif key in ("grid_n", "m", "seed", "n_seeds", "max_iter"):
-            overrides[key] = int(value)
-        elif key in ("regime", "noise_kind"):
-            overrides[key] = value
         else:
-            overrides[key] = float(value)
+            overrides[key] = types[key](value)
     return dataclasses.replace(base, **overrides)

@@ -8,6 +8,8 @@ where the strong norm of u - u_bar is the sup norm of its witness v with
 u = u_bar + G v.  Minimization runs over the witness: both max terms are
 replaced by a log-sum-exp surrogate with annealed temperature, each stage
 solved by L-BFGS, and the true nonsmooth T is evaluated at every candidate.
+The forward map exp(G u_bar + G G v) and T are each computed in one place,
+``_forward`` and ``_evaluate``, shared by the solver, its certificate and ``objective``.
 
 Every returned minimizer carries a certificate: its true objective does not
 exceed T at the auxiliary element u_aux(beta) with beta = alpha^kappa,
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,6 +41,7 @@ __all__ = [
     "TikhonovProblem",
     "coupling_exponent",
     "objective",
+    "SmoothedObjective",
     "ParamChoice",
     "choose_alpha",
     "MinimizeResult",
@@ -79,23 +83,31 @@ class TikhonovProblem:
         if self.delta < 0.0:
             raise ValueError("delta must be nonnegative")
 
-    @property
+    @cached_property
     def u_bar(self) -> GridFunction:
         return self.forward_problem.op.apply(self.u_bar_witness)
+
+    @cached_property
+    def g_bar(self) -> np.ndarray:
+        """G u_bar (read-only), the fixed part of the forward map's exponent on the slice."""
+        return self.forward_problem.op.apply(self.u_bar).values
 
 
 def objective(prob: TikhonovProblem, u: GridFunction, v_witness: GridFunction) -> float:
     """Evaluate T at a point of the search slice u = u_bar + G v.
 
     The pair must be consistent: u is recomputed from the witness and compared.
+    T comes from the witness through the solver's evaluator, so it matches exactly.
     """
     op = prob.forward_problem.op
     u_from_v = prob.u_bar.values + op._apply_values(v_witness.values)
     scale = 1.0 + np.max(np.abs(u.values))
     if np.max(np.abs(u.values - u_from_v)) > 1e-8 * scale:
         raise ValueError("u is not u_bar + G v for the supplied witness")
-    residual = (prob.forward_problem.forward(u) - prob.f_delta).sup_norm()
-    return residual**prob.r + prob.alpha * v_witness.sup_norm() ** prob.r
+    value = _evaluate(prob, v_witness.values)[0]
+    if not np.isfinite(value):
+        raise OverflowError("forward map overflowed for an extreme input")
+    return value
 
 
 @dataclass(frozen=True)
@@ -178,20 +190,33 @@ def _soft_abs_max(z: np.ndarray, temp: float) -> tuple[float, np.ndarray]:
     return value, (ep - en) / total
 
 
-class _SmoothedObjective:
+def _forward(prob: TikhonovProblem, v: np.ndarray) -> np.ndarray:
+    """F(u_bar + G v) = exp(g_bar + G G v) as values; entries that overflow are inf."""
+    op = prob.forward_problem.op
+    with np.errstate(over="ignore"):
+        return np.exp(prob.g_bar + op._apply_values(op._apply_values(v)))
+
+
+def _evaluate(prob: TikhonovProblem, v: np.ndarray) -> tuple[float, float, float]:
+    """The true T at witness v, with its residual and penalty sup norms (T = inf on overflow)."""
+    penalty = float(np.max(np.abs(v)))
+    f = _forward(prob, v)
+    if not np.all(np.isfinite(f)):
+        return np.inf, np.inf, penalty
+    residual = float(np.max(np.abs(f - prob.f_delta.values)))
+    return residual**prob.r + prob.alpha * penalty**prob.r, residual, penalty
+
+
+class SmoothedObjective:
     """Fixed-temperature smooth surrogate of T over the witness variable."""
 
     def __init__(self, prob: TikhonovProblem, temps: tuple[float, float]):
         self.prob = prob
-        self.op = prob.forward_problem.op
-        self.g_bar = self.op._apply_values(prob.u_bar.values)
         self.temp_res, self.temp_pen = temps
 
     def value_and_grad(self, v: np.ndarray) -> tuple[float, np.ndarray]:
-        prob, op = self.prob, self.op
-        y = self.g_bar + op._apply_values(op._apply_values(v))
-        with np.errstate(over="ignore"):
-            f = np.exp(y)
+        prob, op = self.prob, self.prob.forward_problem.op
+        f = _forward(prob, v)
         if not np.all(np.isfinite(f)):
             return np.inf, np.zeros_like(v)
         res = f - prob.f_delta.values
@@ -204,43 +229,16 @@ class _SmoothedObjective:
         return value, grad
 
 
-def _true_objective(prob: TikhonovProblem, g_bar: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
-    op = prob.forward_problem.op
-    y = g_bar + op._apply_values(op._apply_values(v))
-    with np.errstate(over="ignore"):
-        f = np.exp(y)
-    if not np.all(np.isfinite(f)):
-        return np.inf, np.inf, float(np.max(np.abs(v)))
-    residual = float(np.max(np.abs(f - prob.f_delta.values)))
-    penalty = float(np.max(np.abs(v)))
-    return residual**prob.r + prob.alpha * penalty**prob.r, residual, penalty
-
-
-def smoothed_objective(
-    prob: TikhonovProblem, temps: tuple[float, float]
-) -> "_SmoothedObjective":
-    """Expose the fixed-temperature surrogate (used by the gradient checks)."""
-    return _SmoothedObjective(prob, temps)
-
-
 def _descend(prob: TikhonovProblem, v0: np.ndarray, max_iter: int) -> list[np.ndarray]:
     """Anneal the surrogate temperature and descend with L-BFGS; returns iterates."""
-    op = prob.forward_problem.op
-    g_bar = op._apply_values(prob.u_bar.values)
     out = []
     v = np.array(v0)
     for rel in ANNEAL_TEMPS:
-        y = g_bar + op._apply_values(op._apply_values(v))
-        with np.errstate(over="ignore"):
-            res = np.exp(y) - prob.f_delta.values
+        _, residual, penalty = _evaluate(prob, v)
         floor = 1e-12
-        temps = (
-            rel * max(float(np.max(np.abs(res))), floor),
-            rel * max(float(np.max(np.abs(v))), floor, 1e-3 * float(np.max(np.abs(res)))),
-        )
-        surrogate = _SmoothedObjective(prob, temps)
+        temps = (rel * max(residual, floor), rel * max(penalty, floor, 1e-3 * residual))
         sol = _lbfgs(
-            surrogate.value_and_grad,
+            SmoothedObjective(prob, temps).value_and_grad,
             v,
             jac=True,
             method="L-BFGS-B",
@@ -266,24 +264,24 @@ def minimize(
     beta = alpha^kappa, the comparison point the error analysis is built on;
     ``budget`` repeats the annealing sweep from its own endpoint, and the
     result is the true-T argmin over that chain (including the raw anchor, so
-    its objective never exceeds the certificate bound).  The solve is
-    deterministic: ``seed`` is accepted for call compatibility and unused.
+    its objective never exceeds the certificate bound).  Every chain point is
+    scored once by ``_evaluate``, the same evaluator behind ``objective``; the
+    anchor's score is the certificate bound.  The solve is deterministic:
+    ``seed`` is accepted for call compatibility and unused.
     """
-    op = prob.forward_problem.op
     kap = coupling_exponent(prob.r, prob.a)
     beta = prob.alpha**kap
     aux = auxiliary_element(fam, beta, u_true_for_certificate, prob.u_bar_witness, prob.a, cfg)
-    g_bar = op._apply_values(prob.u_bar.values)
-    bound, _, _ = _true_objective(prob, g_bar, aux.witness.values)
 
     chain: list[np.ndarray] = [np.array(aux.witness.values)]
     for _ in range(max(budget, 1)):
         chain.extend(_descend(prob, chain[-1], max_iter))
-    best_v = min(chain, key=lambda v: _true_objective(prob, g_bar, v)[0])
-    obj, residual, penalty = _true_objective(prob, g_bar, best_v)
+    scores = [_evaluate(prob, v) for v in chain]
+    bound = scores[0][0]
+    (obj, residual, penalty), best_v = min(zip(scores, chain), key=lambda sv: sv[0][0])
     certified = obj <= bound * (1.0 + CERTIFICATE_RTOL)
     result = MinimizeResult(
-        u_min=GridFunction(prob.u_bar.values + op._apply_values(best_v)),
+        u_min=GridFunction(prob.u_bar.values + prob.forward_problem.op._apply_values(best_v)),
         v_min=GridFunction(best_v),
         objective=obj,
         residual=residual,

@@ -28,7 +28,7 @@ from oversmooth import (
     nonlinearity_check,
     riemann_liouville,
 )
-from oversmooth.tikhonov import smoothed_objective
+from oversmooth.tikhonov import SmoothedObjective
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -269,7 +269,7 @@ def test_criterion_10_minimizer_sanity(op64, quad):
         u_bar_witness=u_bar_w,
         alpha=0.1,
     )
-    surrogate = smoothed_objective(prob, (0.05, 0.02))
+    surrogate = SmoothedObjective(prob, (0.05, 0.02))
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(10):

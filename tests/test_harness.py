@@ -86,6 +86,38 @@ def test_config_file_parsing(tmp_path):
     assert cfg.n_seeds == 2
     assert cfg.c_alpha == 2.5
 
+    # Every field round-trips with its own type; integral text for a float
+    # field (a = 2) must still come back as a float.
+    values = {
+        "grid_n": 128,
+        "regime": "low_order",
+        "p": 0.75,
+        "r": 1.5,
+        "a": 2.0,
+        "m": 3,
+        "c_alpha": 2.5,
+        "delta_list": (1e-1, 1e-2, 1e-3),
+        "seed": 7,
+        "n_seeds": 2,
+        "noise_kind": "smooth_bump",
+        "tail_tol": 1e-7,
+        "quad_step": 0.04,
+        "slope_tolerance": 0.1,
+        "bounded_ratio_limit": 4.0,
+        "max_iter": 200,
+    }
+    assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    text = {"a": "2", "bounded_ratio_limit": "4", "delta_list": "1e-1, 1e-2, 1e-3"}
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{key} = {text.get(key, value)}\n" for key, value in values.items()))
+    cfg = parse_config_file(path)
+    default = ExperimentConfig()
+    for key, value in values.items():
+        got = getattr(cfg, key)
+        assert got == value != getattr(default, key), key
+        assert type(got) is type(value), key
+    assert all(type(d) is float for d in cfg.delta_list)
+
 
 def test_config_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"

@@ -114,6 +114,20 @@ def test_resolvent_matches_dense_solve(op64):
         assert np.max(np.abs(direct - fast)) < 1e-12 * np.max(np.abs(direct))
 
 
+@pytest.mark.parametrize("n", [64, 1025])
+def test_shifted_solve_paths_agree(n, quad):
+    # The single-shift lfilter path and the all-shifts row recurrence solve
+    # the same systems; compare them on the Balakrishnan grid of q = 0.5.
+    op = ScaleOperator(n)
+    t_min, t_max = quad.bounds_for(0.5)
+    shifts = np.exp(np.linspace(t_min, t_max, int(math.ceil((t_max - t_min) / quad.step)) + 1))
+    f = np.random.default_rng(4).uniform(-1.0, 1.0, n)
+    many = op._solve_shifted_many(shifts, f)
+    for k, s in enumerate(shifts):
+        single = op._solve_values(s, f)
+        assert np.max(np.abs(many[:, k] - single)) <= 1e-13 * np.max(np.abs(single))
+
+
 def test_resolvent_norm_bound_random(op256):
     # Sampled positive-type bound ||(G + beta)^-1 f|| <= kappa_*/beta.
     rng = np.random.default_rng(11)

@@ -17,7 +17,7 @@ from oversmooth import (
     minimize,
     objective,
 )
-from oversmooth.tikhonov import smoothed_objective
+from oversmooth.tikhonov import SmoothedObjective
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +168,23 @@ def test_minimize_result_consistent_with_objective(setup):
     assert objective(prob, res.u_min, res.v_min) == pytest.approx(res.objective, rel=1e-12)
 
 
+def test_objective_reproduces_solver_value_exactly(op256, quad):
+    # With a nonzero initial guess, F(u) and exp(G u_bar + G G v) round
+    # differently; objective() must read T from the solver's own evaluator.
+    u_true = make_truth("hoelder", op256, p=0.5, cfg=quad)
+    problem = make_problem(op256, u_true)
+    x = np.linspace(0.0, 1.0, 256)
+    prob = TikhonovProblem(
+        forward_problem=problem,
+        f_delta=add_noise(problem.f_true, NoiseSpec(0.1, "random_sign", 0)),
+        delta=0.1,
+        u_bar_witness=GridFunction(0.3 * np.sin(3.0 * x)),
+        alpha=choose_alpha(ParamChoice("hoelder", p=0.5), 0.1, 1.0, 1.0),
+    )
+    res = minimize(prob, RegularizerFamily(op256, m=2), u_true, max_iter=60, cfg=quad)
+    assert objective(prob, res.u_min, res.v_min) == res.objective
+
+
 def test_minimize_penalty_dominates_for_large_alpha(setup):
     problem, fam, u_true = setup
     prob = make_prob(problem, 0.1, 1e6, seed=5)
@@ -213,7 +230,7 @@ def test_smoothed_gradient_matches_finite_differences(op64, quad):
     u_true = make_truth("hoelder", op64, p=1.0, cfg=quad)
     problem = make_problem(op64, u_true)
     prob = make_prob(problem, 0.1, 0.1, seed=1)
-    surrogate = smoothed_objective(prob, (0.05, 0.02))
+    surrogate = SmoothedObjective(prob, (0.05, 0.02))
     rng = np.random.default_rng(5)
     for _ in range(10):
         v = rng.uniform(-1.0, 1.0, 64)
