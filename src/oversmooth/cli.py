@@ -24,7 +24,7 @@ def _add_study_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", type=float, default=None, help="smoothness order for the hoelder regime")
     parser.add_argument("--r", type=float, default=None, help="functional exponent")
     parser.add_argument("--m", type=int, default=None, help="Lavrentiev iteration count")
-    parser.add_argument("--alpha-c", type=float, default=None, help="constant in the alpha rule")
+    parser.add_argument("--alpha-c", dest="c_alpha", type=float, default=None, help="constant in the alpha rule")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,21 +52,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config is not None:
         cfg = parse_config_file(args.config, cfg)
-    overrides = {}
-    if getattr(args, "grid_n", None) is not None:
-        overrides["grid_n"] = args.grid_n
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "m", None) is not None:
-        overrides["m"] = args.m
-    if getattr(args, "regime", None) is not None:
-        overrides["regime"] = _REGIME_FROM_CLI[args.regime]
-    if getattr(args, "p", None) is not None:
-        overrides["p"] = args.p
-    if getattr(args, "r", None) is not None:
-        overrides["r"] = args.r
-    if getattr(args, "alpha_c", None) is not None:
-        overrides["c_alpha"] = args.alpha_c
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    if "regime" in overrides:
+        overrides["regime"] = _REGIME_FROM_CLI[overrides["regime"]]
     return dataclasses.replace(cfg, **overrides)
 
 

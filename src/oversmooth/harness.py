@@ -435,8 +435,11 @@ def parse_config_file(path: str | Path, base: ExperimentConfig | None = None) ->
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in types:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key == "delta_list":
-            overrides[key] = tuple(float(tok) for tok in value.split(",") if tok.strip())
-        else:
-            overrides[key] = types[key](value)
+        try:
+            if key == "delta_list":
+                overrides[key] = tuple(float(tok) for tok in value.split(",") if tok.strip())
+            else:
+                overrides[key] = types[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return dataclasses.replace(base, **overrides)

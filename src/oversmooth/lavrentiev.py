@@ -260,26 +260,20 @@ def gap_table(
     a: float = 1.0,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> GapTable:
-    """Evaluate g1, g2, g3 at each beta.
+    """Evaluate g1, g2, g3 at each beta from that beta's auxiliary element.
 
-    Requires saturation m >= 1 + a so that the g2 decay order stays below the
-    companion's saturation.
+    Each row is g1 = ||u_aux - u_true||, g2 = ||G^a S_beta d|| / beta^a and
+    g3 = beta ||witness||, so every row also passes the element's consistency
+    check; ``auxiliary_element`` rejects a saturation m below 1 + a.
     """
-    if fam.saturation < 1.0 + a:
-        raise ValueError(
-            f"saturation {fam.saturation} is below 1 + a = {1.0 + a}; increase m"
-        )
     blist = [float(b) for b in betas]
     if any(b <= 0.0 for b in blist):
         raise ValueError("betas must be positive")
-    op = fam.op
-    u_bar = op.apply(u_bar_witness)
-    d = u_true - u_bar
-    g1, g2, g3 = [], [], []
-    for beta in blist:
-        s = fam.companion(beta, d)
-        r = fam.regularize(beta, d)
-        g1.append(s.sup_norm())
-        g2.append(op.power(a, s, cfg).sup_norm() / beta**a)
-        g3.append(beta * r.sup_norm())
-    return GapTable(a=a, betas=tuple(blist), g1=tuple(g1), g2=tuple(g2), g3=tuple(g3))
+    rows = [auxiliary_element(fam, beta, u_true, u_bar_witness, a, cfg) for beta in blist]
+    return GapTable(
+        a=a,
+        betas=tuple(blist),
+        g1=tuple(e.residual_to_truth for e in rows),
+        g2=tuple(e.a_norm_gap / e.beta**a for e in rows),
+        g3=tuple(e.beta * e.one_norm for e in rows),
+    )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,8 +64,9 @@ class QuadratureError(RuntimeError):
 class QuadratureConfig:
     """Controls the log-substituted Balakrishnan quadrature.
 
-    When ``t_min``/``t_max`` are left unset they are derived per call from
-    ``tail_tol``: with q_eff the fractional order clamped to [0.1, 0.9],
+    ``step`` is the node spacing in t = log s; the truncation bounds are
+    derived per call from ``tail_tol``: with q_eff the fractional order
+    clamped to [0.1, 0.9],
 
         t_min = (log tail_tol - log 8) / q_eff,
         t_max = (-log tail_tol + log 8) / (1 - q_eff),
@@ -72,26 +74,20 @@ class QuadratureConfig:
     which keeps both neglected tails below tail_tol including their resolvent
     prefactors.  The tail guarantee therefore covers fractional orders inside
     the clamp range [0.1, 0.9]; outside it the truncation degrades gracefully.
+    ``log_smooth_element`` also takes its q-grid from ``step`` and its
+    truncation point from ``tail_tol``.
     """
 
     step: float = 0.05
     tail_tol: float = 1e-6
-    t_min: float | None = None
-    t_max: float | None = None
 
     def __post_init__(self) -> None:
         if self.step <= 0.0:
             raise ValueError("quadrature step must be positive")
         if self.tail_tol <= 0.0:
             raise ValueError("tail tolerance must be positive")
-        if (self.t_min is None) != (self.t_max is None):
-            raise ValueError("set both truncation bounds or neither")
-        if self.t_min is not None and not (self.t_min < 0.0 < self.t_max):
-            raise ValueError("truncation bounds must satisfy t_min < 0 < t_max")
 
     def bounds_for(self, q: float) -> tuple[float, float]:
-        if self.t_min is not None:
-            return self.t_min, self.t_max
         q_eff = min(max(q, 0.1), 0.9)
         t_min = (math.log(self.tail_tol) - _TAIL_MARGIN) / q_eff
         t_max = (-math.log(self.tail_tol) + _TAIL_MARGIN) / (1.0 - q_eff)
@@ -106,7 +102,7 @@ class ScaleOperator:
     """The discretized running-integral generator on an n-point grid."""
 
     n: int
-    kappa_star: float = KAPPA_STAR
+    kappa_star: ClassVar[float] = KAPPA_STAR
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -224,8 +220,8 @@ class ScaleOperator:
         t_min, t_max = cfg.bounds_for(q)
         m = int(math.ceil((t_max - t_min) / cfg.step))
         t = np.linspace(t_min, t_max, m + 1)
-        # Non-finite intermediates (pathological explicit truncation bounds)
-        # surface as a QuadratureError below, not as warnings.
+        # Non-finite intermediates (a tail tolerance so small that exp(t_max)
+        # overflows) surface as a QuadratureError below, not as warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             nodes = self._solve_shifted_many(np.exp(t), g)
             w = np.exp(q * t)
@@ -297,40 +293,34 @@ def log_smooth_element(
 
         u = int_0^Q exp(-lam q) G^q w~ dq,  w~ = range part of w,
 
-    by the trapezoid rule in q.  The requirement lam > omega (the semigroup
-    growth bound) makes the neglected tail geometric; Q is chosen so it stays
-    below the quadrature tail tolerance.  The result lies in the domain of
-    log G by construction.
+    by the trapezoid rule in q on the grid q = j / per_unit with
+    per_unit = ceil(1/step), so the grid spacing is ``cfg.step`` when 1/step is
+    an integer and the next finer reciprocal of an integer otherwise.  The
+    requirement lam > omega (the semigroup growth bound) makes the neglected
+    tail geometric; Q is chosen so it stays below the quadrature tail
+    tolerance.  The result lies in the domain of log G by construction.
     """
     if lam <= GROWTH_BOUND:
         raise ValueError(f"lam must exceed the growth bound {GROWTH_BOUND}")
     op._check_size(w)
     wt = op.range_part(w).values
+    per_unit = math.ceil(1.0 / cfg.step - 1e-9)
+    dq = 1.0 / per_unit
     q_max = -math.log(cfg.tail_tol) / (lam - GROWTH_BOUND)
-    m = int(math.ceil(q_max / cfg.step))
-    weights = np.full(m + 1, cfg.step)
+    m = int(math.ceil(q_max / dq))
+    weights = np.full(m + 1, dq)
     weights[0] *= 0.5
     weights[-1] *= 0.5
 
+    # Group nodes q = j*dq by fractional residue so each Balakrishnan
+    # evaluation is reused across all integer translates.
     acc = np.zeros(op.n)
-    per_unit = round(1.0 / cfg.step)
-    if abs(per_unit * cfg.step - 1.0) < 1e-12:
-        # Group nodes q = j*step by fractional residue so each Balakrishnan
-        # evaluation is reused across all integer translates.
-        for j0 in range(min(per_unit, m + 1)):
-            frac = j0 * cfg.step
-            vals = wt if j0 == 0 else op._balakrishnan(frac, wt, cfg)
-            j = j0
-            while j <= m:
-                acc += weights[j] * math.exp(-lam * j * cfg.step) * vals
-                j += per_unit
-                if j <= m:
-                    vals = op._apply_values(vals)
-    else:
-        for j in range(m + 1):
-            q = j * cfg.step
-            vals = op.power(q, GridFunction(wt), cfg).values
-            acc += weights[j] * math.exp(-lam * q) * vals
+    for j0 in range(min(per_unit, m + 1)):
+        vals = wt if j0 == 0 else op._balakrishnan(j0 * dq, wt, cfg)
+        for j in range(j0, m + 1, per_unit):
+            if j > j0:
+                vals = op._apply_values(vals)
+            acc += weights[j] * math.exp(-lam * j * dq) * vals
     return GridFunction(acc)
 
 

@@ -255,27 +255,25 @@ def minimize(
     u_true_for_certificate: GridFunction,
     seed: int = 0,
     max_iter: int = 300,
-    budget: int = 1,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> MinimizeResult:
     """Certified approximate minimization of T over the witness slice.
 
     The descent is anchored at the auxiliary-element witness for
     beta = alpha^kappa, the comparison point the error analysis is built on;
-    ``budget`` repeats the annealing sweep from its own endpoint, and the
-    result is the true-T argmin over that chain (including the raw anchor, so
-    its objective never exceeds the certificate bound).  Every chain point is
-    scored once by ``_evaluate``, the same evaluator behind ``objective``; the
-    anchor's score is the certificate bound.  The solve is deterministic:
-    ``seed`` is accepted for call compatibility and unused.
+    one annealing sweep runs from it, and the result is the true-T argmin over
+    the raw anchor and the sweep's iterates (so its objective never exceeds
+    the certificate bound).  Every candidate is scored once by ``_evaluate``,
+    the same evaluator behind ``objective``; the anchor's score is the
+    certificate bound.  The solve is deterministic: ``seed`` is accepted for
+    call compatibility and unused.
     """
     kap = coupling_exponent(prob.r, prob.a)
     beta = prob.alpha**kap
     aux = auxiliary_element(fam, beta, u_true_for_certificate, prob.u_bar_witness, prob.a, cfg)
 
-    chain: list[np.ndarray] = [np.array(aux.witness.values)]
-    for _ in range(max(budget, 1)):
-        chain.extend(_descend(prob, chain[-1], max_iter))
+    anchor = np.array(aux.witness.values)
+    chain = [anchor, *_descend(prob, anchor, max_iter)]
     scores = [_evaluate(prob, v) for v in chain]
     bound = scores[0][0]
     (obj, residual, penalty), best_v = min(zip(scores, chain), key=lambda sv: sv[0][0])

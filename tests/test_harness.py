@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from oversmooth import ExperimentConfig, fit_slope, run_rate_study, run_suite
-from oversmooth.cli import main
+from oversmooth.cli import _config_from_args, build_parser, main
 from oversmooth.harness import SUITE_NAMES, parse_config_file
 from oversmooth.scale import QuadratureError
 
@@ -123,6 +124,17 @@ def test_config_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("grid_m = 10\n")
     with pytest.raises(ValueError, match="unknown config key"):
+        parse_config_file(path)
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [("grid_n = 1e3", "grid_n"), ("p = abc", "p"), ("delta_list = 0.1, x", "delta_list")],
+)
+def test_config_file_bad_value_names_location(tmp_path, line, key):
+    path = tmp_path / "typo.cfg"
+    path.write_text("# comment\n" + line + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: bad value for '{key}': "):
         parse_config_file(path)
 
 
@@ -252,6 +264,19 @@ def test_cli_nonlinearity(capsys):
     code = main(["nonlinearity-check", "--grid-n", "128"])
     assert code == 0
     assert "[nonlinearity-check] PASS" in capsys.readouterr().out
+
+
+def test_cli_flags_override_config_file(tmp_path):
+    cfg_file = tmp_path / "base.cfg"
+    cfg_file.write_text(
+        "grid_n = 64\nseed = 1\nregime = none\np = 0.5\nr = 1.0\nm = 2\nc_alpha = 1.0\nn_seeds = 3\n"
+    )
+    argv = ["rate-study", "--config", str(cfg_file), "--grid-n", "128", "--seed", "9",
+            "--regime", "low-order", "--p", "0.25", "--r", "2", "--m", "3", "--alpha-c", "0.5"]
+    cfg = _config_from_args(build_parser().parse_args(argv))
+    assert (cfg.grid_n, cfg.seed, cfg.regime) == (128, 9, "low_order")
+    assert (cfg.p, cfg.r, cfg.m, cfg.c_alpha) == (0.25, 2.0, 3, 0.5)
+    assert cfg.n_seeds == 3
 
 
 def test_cli_config_file(tmp_path, capsys):

@@ -195,6 +195,18 @@ def test_gap_table_saturation_guard(op256):
         gap_table(shallow, [0.1], GridFunction.ones(256), GridFunction.zeros(256), a=1.0)
 
 
+def test_gap_table_rows_are_auxiliary_elements(fam, quad):
+    u_true = make_truth("hoelder", fam.op, p=0.5, cfg=quad)
+    w = GridFunction(0.3 * np.sin(3.0 * np.linspace(0.0, 1.0, 256)))
+    betas = [1e-1, 1e-2, 1e-3]
+    table = gap_table(fam, betas, u_true, w, a=0.5, cfg=quad)
+    for i, beta in enumerate(betas):
+        e = auxiliary_element(fam, beta, u_true, w, a=0.5, cfg=quad)
+        assert table.g1[i] == e.residual_to_truth
+        assert table.g2[i] == e.a_norm_gap / beta**0.5
+        assert table.g3[i] == beta * e.one_norm
+
+
 def test_gap_table_zero_gap(fam, quad):
     w = GridFunction.ones(256)
     u_true = fam.op.apply(w)

@@ -196,16 +196,6 @@ def test_minimize_penalty_dominates_for_large_alpha(setup):
     assert (res.u_min - u_bar).sup_norm() <= 1e-6
 
 
-def test_minimize_budget_monotonicity(setup):
-    # Growing the annealing budget only extends the anchored candidate chain,
-    # so the certified objective cannot increase.
-    problem, fam, u_true = setup
-    prob = make_prob(problem, 1e-2, 1e-2, seed=6)
-    objs = [minimize(prob, fam, u_true, seed=6, budget=b).objective for b in (1, 2, 3)]
-    assert objs[1] <= objs[0] * (1.0 + 1e-12)
-    assert objs[2] <= objs[1] * (1.0 + 1e-12)
-
-
 def test_minimize_deterministic(setup):
     problem, fam, u_true = setup
     prob = make_prob(problem, 1e-2, 1e-2, seed=7)
