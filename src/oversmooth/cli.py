@@ -7,9 +7,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .harness import SUITE_NAMES, CheckResult, ExperimentConfig, parse_config_file, run_suite
-
-_REGIME_FROM_CLI = {"none": "none", "hoelder": "hoelder", "low-order": "low_order"}
+from .harness import REGIME_NAMES, SUITE_NAMES, CheckResult, ExperimentConfig, parse_config_file, run_suite
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -20,7 +18,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_study_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--regime", choices=sorted(_REGIME_FROM_CLI), default=None)
+    parser.add_argument("--regime", choices=sorted(REGIME_NAMES), default=None)
     parser.add_argument("--p", type=float, default=None, help="smoothness order for the hoelder regime")
     parser.add_argument("--r", type=float, default=None, help="functional exponent")
     parser.add_argument("--m", type=int, default=None, help="Lavrentiev iteration count")
@@ -55,7 +53,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     if "regime" in overrides:
-        overrides["regime"] = _REGIME_FROM_CLI[overrides["regime"]]
+        overrides["regime"] = REGIME_NAMES[overrides["regime"]]
     return dataclasses.replace(cfg, **overrides)
 
 

@@ -2,29 +2,36 @@
 
 A rate study sweeps the noise level over a decreasing list, picks alpha by the
 configured a priori rule, runs the certified Tikhonov solver for each level
-and noise draw, and summarizes the sup-norm reconstruction errors: a fitted
-log-log slope for the Hoelder regime, a boundedness statistic
-error * log(1/delta) for the low-order regime, and a monotone-decrease check
-when no smoothness is constructed.  Reports freeze to CSV and JSON; identical
-configuration and seeds give byte-identical output (the JSON timestamp is
-injectable for that purpose).
+and noise draw (independent solves, spread on Linux over forked worker
+processes, one per CPU the process may use), and summarizes the sup-norm
+reconstruction errors: a fitted log-log slope for the Hoelder regime, a
+boundedness statistic error * log(1/delta) for the low-order regime, and a
+monotone-decrease check when no smoothness is constructed.  Reports freeze
+to CSV and JSON; identical configuration and seeds give byte-identical output
+(the JSON timestamp is injectable for that purpose).
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import io
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .exp_volterra import NoiseSpec, add_noise, make_problem, make_truth, nonlinearity_check
+from .exp_volterra import ExpVolterraProblem, NoiseSpec, add_noise, make_problem, make_truth, nonlinearity_check
 from .fitting import NOISE_FLOOR, SlopeFit, fit_slope
 from .grids import GridFunction
 from .lavrentiev import RegularizerFamily, decay_check, gap_table
@@ -39,6 +46,7 @@ from .tikhonov import (
 )
 
 __all__ = [
+    "REGIME_NAMES",
     "ExperimentConfig",
     "RateRow",
     "RateReport",
@@ -49,6 +57,10 @@ __all__ = [
     "SUITE_NAMES",
     "parse_config_file",
 ]
+
+
+#: The CLI's regime spellings -> ``ExperimentConfig.regime``; config files accept both forms.
+REGIME_NAMES = {"none": "none", "hoelder": "hoelder", "low-order": "low_order"}
 
 
 def _default_deltas() -> tuple[float, ...]:
@@ -164,6 +176,144 @@ class RateReport:
         return csv_path, json_path
 
 
+@dataclass(frozen=True)
+class _Study:
+    """What every (level, draw) solve of one rate study shares."""
+
+    cfg: ExperimentConfig
+    problem: ExpVolterraProblem
+    fam: RegularizerFamily
+    u_true: GridFunction
+    alphas: tuple[float, ...]
+    quad: QuadratureConfig
+
+
+def _solve_draw(study: _Study, i: int, j: int) -> tuple[tuple[float, float, float], bool]:
+    """Solve noise draw j at level i: ((sup-norm error, residual, penalty), certified)."""
+    cfg = study.cfg
+    delta = cfg.delta_list[i]
+    f_delta = add_noise(study.problem.f_true, NoiseSpec(delta, cfg.noise_kind, cfg.seed + 1000 * i + j))
+    prob = TikhonovProblem(
+        forward_problem=study.problem,
+        f_delta=f_delta,
+        delta=delta,
+        u_bar_witness=GridFunction.zeros(cfg.grid_n),
+        alpha=study.alphas[i],
+        r=cfg.r,
+        a=cfg.a,
+    )
+    try:
+        res = minimize(prob, study.fam, study.u_true, max_iter=cfg.max_iter, cfg=study.quad)
+    except UncertifiedResultError as exc:
+        res = exc.result
+    return ((res.u_min - study.u_true).sup_norm(), res.residual, res.penalty), res.certified
+
+
+#: The thread-count setters exported by the OpenBLAS builds bundled in the
+#: numpy (64-bit integer interface) and scipy wheels.
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+
+#: The per-library thread variables of OpenBLAS, MKL and BLIS; each library
+#: reads its own first and falls back to OMP_NUM_THREADS.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+#: The CPU quota of the cgroup a container sees as its own: cgroup v2
+#: ("QUOTA PERIOD" or "max PERIOD"), else v1 (quota -1 when unlimited).
+_CGROUP_CPU_MAX = Path("/sys/fs/cgroup/cpu.max")
+_CGROUP_CFS_QUOTA = Path("/sys/fs/cgroup/cpu/cpu.cfs_quota_us")
+_CGROUP_CFS_PERIOD = Path("/sys/fs/cgroup/cpu/cpu.cfs_period_us")
+
+
+@functools.cache
+def _bundled_blas_setters() -> tuple[Callable[[int], None], ...]:
+    """The thread-count setters of numpy's and scipy's bundled OpenBLAS; empty unless both are found.
+
+    numpy's BLAS runs the quadrature's matrix products and scipy's runs
+    L-BFGS-B, so a pool worker must hold both to one thread.
+    """
+    setters: list = []
+    for pkg in (np, scipy):
+        libs = Path(pkg.__file__).parent.with_name(f"{pkg.__name__}.libs").glob("libscipy_openblas*.so")
+        found = [getattr(ctypes.CDLL(str(lib)), name, None) for lib in libs for name in _OPENBLAS_SETTERS]
+        found = [setter for setter in found if setter is not None]
+        if not found:
+            return ()
+        setters += found
+    for setter in setters:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+    return tuple(setters)
+
+
+def _env_blas_one_thread() -> bool:
+    """True when the thread variables hold OpenBLAS, MKL and BLIS alike to one thread."""
+    env = os.environ
+    return env.get("OMP_NUM_THREADS") == "1" and all(env.get(var, "1") == "1" for var in _BLAS_THREAD_VARS)
+
+
+def _quota_cpus() -> int | None:
+    """Whole CPUs the cgroup CPU quota allows (at least 1), or None without a readable quota."""
+    try:
+        if _CGROUP_CPU_MAX.exists():
+            quota, period = _CGROUP_CPU_MAX.read_text().split()
+        else:
+            quota, period = _CGROUP_CFS_QUOTA.read_text().strip(), _CGROUP_CFS_PERIOD.read_text().strip()
+        if quota in ("max", "-1"):
+            return None
+        return max(1, int(quota) // int(period))
+    except (OSError, ValueError):
+        return None
+
+
+def _worker_count(n_tasks: int) -> int:
+    """Processes to solve n_tasks independent solves on: one per usable CPU, at most one per task.
+
+    Usable CPUs are the affinity mask cut to the cgroup CPU quota.  The count
+    is 1 (no pool) off Linux, and when a worker could not hold its BLAS to one
+    thread: neither the bundled OpenBLAS setters nor the thread variables do
+    it, and uncapped BLAS threads of several workers fight over the cores.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    workers = min(cpus, _quota_cpus() or cpus, n_tasks)
+    if workers == 1 or not (_env_blas_one_thread() or _bundled_blas_setters()):
+        return 1
+    return workers
+
+
+#: The study a pool worker solves draws of; set only inside pool workers, by ``_start_worker``.
+_worker_study: _Study | None = None
+
+
+def _start_worker(study: _Study) -> None:
+    global _worker_study
+    _worker_study = study
+    for setter in _bundled_blas_setters():
+        setter(1)
+
+
+def _solve_in_worker(task: tuple[int, int]) -> tuple[tuple[float, float, float], bool]:
+    return _solve_draw(_worker_study, *task)
+
+
+def _solve_all(study: _Study, tasks: list[tuple[int, int]]) -> list[tuple[tuple[float, float, float], bool]]:
+    """``_solve_draw`` over the (level, draw) tasks, in task order, on ``_worker_count`` processes."""
+    workers = _worker_count(len(tasks))
+    if workers == 1:
+        return [_solve_draw(study, i, j) for i, j in tasks]
+    # Fork, not spawn: a spawned worker would import numpy, scipy and oversmooth anew.
+    # The shifted solves import scipy.signal lazily; import it once here, not once per worker.
+    import scipy.signal  # noqa: F401
+
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(study,),
+    ) as pool:
+        return list(pool.map(_solve_in_worker, tasks))
+
+
 def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateReport:
     """Run the configured noise sweep and summarize the reconstruction errors.
 
@@ -174,42 +324,36 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     level counts as certified when every draw certifies.  Uncertified levels
     are flagged and excluded from the fit; more than half uncertified aborts
     the study.
+
+    The (level, draw) solves are independent, so on Linux they run on a pool
+    of forked worker processes, one per CPU this process may use (its
+    affinity mask cut to its cgroup CPU quota, at most one per solve), each
+    with a single BLAS thread.  They run in this process instead when there
+    is one worker, or when the BLAS cannot be held to one thread per worker:
+    the numpy and scipy wheels' bundled OpenBLAS can be, and any BLAS can be
+    through OMP_NUM_THREADS=1 (with OPENBLAS_, MKL_ and BLIS_NUM_THREADS
+    unset or 1).  The quota is read from the cgroup files a container sees as
+    its own; a quota set on an ancestor cgroup is not seen.  Results are
+    collected in submission order, so the report is byte-identical whatever
+    the worker count.  An exception from a solve, such as a
+    ``QuadratureError``, reaches the caller with its type.
     """
     quad = cfg.quadrature()
     op = ScaleOperator(cfg.grid_n)
-    fam = RegularizerFamily(op, m=cfg.m)
     truth_kwargs = {"p": cfg.p} if cfg.regime == "hoelder" else {}
     regime_truth = {"hoelder": "hoelder", "low_order": "low_order", "none": "generic_continuous"}
     u_true = make_truth(regime_truth[cfg.regime], op, cfg=quad, **truth_kwargs)
-    problem = make_problem(op, u_true)
-    u_bar_witness = GridFunction.zeros(cfg.grid_n)
     pc = cfg.param_choice()
-    kap = coupling_exponent(cfg.r, cfg.a)
+    alphas = tuple(choose_alpha(pc, delta, cfg.r, cfg.a) for delta in cfg.delta_list)
+    study = _Study(cfg, make_problem(op, u_true), RegularizerFamily(op, m=cfg.m), u_true, alphas, quad)
 
+    solved = _solve_all(study, [(i, j) for i in range(len(cfg.delta_list)) for j in range(cfg.n_seeds)])
+
+    kap = coupling_exponent(cfg.r, cfg.a)
     rows: list[RateRow] = []
-    for i, delta in enumerate(cfg.delta_list):
-        alpha = choose_alpha(pc, delta, cfg.r, cfg.a)
-        draws = []
-        certs = []
-        for j in range(cfg.n_seeds):
-            seed = cfg.seed + 1000 * i + j
-            f_delta = add_noise(problem.f_true, NoiseSpec(delta, cfg.noise_kind, seed))
-            prob = TikhonovProblem(
-                forward_problem=problem,
-                f_delta=f_delta,
-                delta=delta,
-                u_bar_witness=u_bar_witness,
-                alpha=alpha,
-                r=cfg.r,
-                a=cfg.a,
-            )
-            try:
-                res = minimize(prob, fam, u_true, max_iter=cfg.max_iter, cfg=quad)
-            except UncertifiedResultError as exc:
-                res = exc.result
-            draws.append(((res.u_min - u_true).sup_norm(), res.residual, res.penalty))
-            certs.append(res.certified)
-        err, residual, penalty = max(draws, key=lambda t: t[0])
+    for i, (delta, alpha) in enumerate(zip(cfg.delta_list, alphas)):
+        level = solved[i * cfg.n_seeds : (i + 1) * cfg.n_seeds]
+        err, residual, penalty = max((draw for draw, _ in level), key=lambda t: t[0])
         rows.append(
             RateRow(
                 delta=delta,
@@ -218,7 +362,7 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
                 error_sup=err,
                 residual=residual,
                 penalty=penalty,
-                certified=all(certs),
+                certified=all(cert for _, cert in level),
             )
         )
 
@@ -422,9 +566,16 @@ def run_suite(names: Sequence[str], cfg: ExperimentConfig | None = None) -> list
 
 
 def parse_config_file(path: str | Path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Read a key = value text file of ExperimentConfig fields, each parsed as its annotated type."""
+    """Read a key = value text file of ExperimentConfig fields, each parsed as its annotated type.
+
+    ``delta_list`` is comma separated, and ``regime`` also takes the CLI spellings of ``REGIME_NAMES``.
+    """
     base = base if base is not None else ExperimentConfig()
-    types = get_type_hints(ExperimentConfig)
+    parsers = {
+        **get_type_hints(ExperimentConfig),
+        "delta_list": lambda value: tuple(float(tok) for tok in value.split(",") if tok.strip()),
+        "regime": lambda value: REGIME_NAMES.get(value, value),
+    }
     overrides: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -433,13 +584,13 @@ def parse_config_file(path: str | Path, base: ExperimentConfig | None = None) ->
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in types:
+        if key not in parsers:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            if key == "delta_list":
-                overrides[key] = tuple(float(tok) for tok in value.split(",") if tok.strip())
-            else:
-                overrides[key] = types[key](value)
+            overrides[key] = parsers[key](value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-    return dataclasses.replace(base, **overrides)
+    try:
+        return dataclasses.replace(base, **overrides)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

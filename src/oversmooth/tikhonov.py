@@ -179,6 +179,9 @@ class UncertifiedResultError(RuntimeError):
         super().__init__(message)
         self.result = result
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.result)
+
 
 def _soft_abs_max(z: np.ndarray, temp: float) -> tuple[float, np.ndarray]:
     """Smooth max of |z| by log-sum-exp over +-z; returns value and d/dz weights."""

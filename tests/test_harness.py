@@ -1,12 +1,18 @@
+import ctypes
 import dataclasses
 import json
+import os
 import re
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from oversmooth import ExperimentConfig, fit_slope, run_rate_study, run_suite
 from oversmooth.cli import _config_from_args, build_parser, main
+from oversmooth import harness
 from oversmooth.harness import SUITE_NAMES, parse_config_file
 from oversmooth.scale import QuadratureError
 
@@ -138,6 +144,24 @@ def test_config_file_bad_value_names_location(tmp_path, line, key):
         parse_config_file(path)
 
 
+@pytest.mark.parametrize("spelling", ["low-order", "low_order"])
+def test_config_file_accepts_cli_regime_spelling(tmp_path, spelling):
+    path = tmp_path / "study.cfg"
+    path.write_text(f"regime = {spelling}\n")
+    assert parse_config_file(path).regime == "low_order"
+    argv = ["rate-study", "--config", str(path)]
+    assert _config_from_args(build_parser().parse_args(argv)).regime == "low_order"
+
+
+def test_config_file_invalid_config_names_file(tmp_path, capsys):
+    path = tmp_path / "zero.cfg"
+    path.write_text("n_seeds = 0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: n_seeds must be at least 1$"):
+        parse_config_file(path)
+    assert main(["rate-study", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {path}: n_seeds must be at least 1"
+
+
 @pytest.mark.parametrize("line", ["warm_chaining = true", "n_random_starts = 2"])
 def test_config_file_rejects_removed_solver_keys(tmp_path, line):
     path = tmp_path / "old.cfg"
@@ -184,6 +208,131 @@ def test_rate_study_deterministic(fast_report, tmp_path):
     a, b = again.write(tmp_path, stem="study")
     assert a.read_text() == fast_report.to_csv()
     assert b.read_text() == fast_report.to_json()
+
+
+def force_workers(monkeypatch, n):
+    monkeypatch.setattr(harness, "_worker_count", lambda n_tasks: min(n, n_tasks))
+
+
+def test_rate_study_pool_matches_serial(monkeypatch):
+    # Two workers and one worker (solves in this process) give the same bytes.
+    force_workers(monkeypatch, 2)
+    pooled = run_rate_study(fast_config(n_seeds=2), timestamp="fixed")
+    force_workers(monkeypatch, 1)
+    serial = run_rate_study(fast_config(n_seeds=2), timestamp="fixed")
+    assert pooled.to_csv() == serial.to_csv()
+    assert pooled.to_json() == serial.to_json()
+
+
+def _slow_first_draw(study, i, j):
+    # Earlier tasks sleep longer, so workers finish them out of submission order;
+    # the draw encodes its task, and ties in error keep the first draw of a level.
+    time.sleep(0.02 * (len(study.alphas) * study.cfg.n_seeds - (i * study.cfg.n_seeds + j)))
+    return (float(i + 1), float(j), 0.0), True
+
+
+def test_rate_study_pool_keeps_submission_order(monkeypatch):
+    force_workers(monkeypatch, 4)
+    monkeypatch.setattr(harness, "_solve_draw", _slow_first_draw)
+    report = run_rate_study(fast_config(n_seeds=2))
+    assert [(r.error_sup, r.residual) for r in report.rows] == [(1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)]
+
+
+def _failing_minimize(*args, **kwargs):
+    raise QuadratureError(f"quadrature failed in process {os.getpid()}")
+
+
+def test_rate_study_worker_error_reaches_caller(monkeypatch, tmp_path, capsys):
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(harness, "minimize", _failing_minimize)
+    with pytest.raises(QuadratureError, match="quadrature failed in process") as info:
+        run_rate_study(fast_config())
+    assert str(info.value) != f"quadrature failed in process {os.getpid()}"  # raised in a worker
+
+    cfg_file = tmp_path / "fast.cfg"
+    cfg_file.write_text("grid_n = 64\ndelta_list = 1e-1, 1e-2\nn_seeds = 1\nmax_iter = 60\n")
+    assert main(["rate-study", "--config", str(cfg_file)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: quadrature failed in process ")
+
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "setters, env, quota, n_tasks, expected",
+    [
+        ((print,), {}, None, 16, 4),  # bundled OpenBLAS capped in each worker
+        ((print,), {}, None, 3, 3),  # at most one worker per task
+        ((print,), {}, 2, 16, 2),  # cgroup quota below the affinity mask
+        ((print,), {}, None, 1, 1),
+        ((), {}, None, 16, 1),  # nothing holds the BLAS to one thread: serial
+        ((), {"OPENBLAS_NUM_THREADS": "1"}, None, 16, 1),  # MKL or BLIS would still thread
+        ((), {"OMP_NUM_THREADS": "1"}, None, 16, 4),
+        ((), {"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, None, 16, 1),
+        ((), {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}, 3, 16, 3),
+    ],
+)
+def test_worker_count_needs_one_blas_thread(monkeypatch, setters, env, quota, n_tasks, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(harness, "_bundled_blas_setters", lambda: setters)
+    monkeypatch.setattr(harness, "_quota_cpus", lambda: quota)
+    for var in _THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert harness._worker_count(n_tasks) == expected
+
+
+@pytest.mark.parametrize(
+    "cpu_max, cfs, expected",
+    [
+        ("200000 100000\n", None, 2),
+        ("150000 100000\n", None, 1),  # whole CPUs only
+        ("50000 100000\n", None, 1),
+        ("max 100000\n", None, None),
+        (None, ("300000\n", "100000\n"), 3),
+        (None, ("-1\n", "100000\n"), None),
+        (None, None, None),  # no cgroup CPU controller visible
+    ],
+)
+def test_quota_cpus_reads_cgroup_files(monkeypatch, tmp_path, cpu_max, cfs, expected):
+    paths = {name: tmp_path / name for name in ("cpu.max", "cpu.cfs_quota_us", "cpu.cfs_period_us")}
+    if cpu_max is not None:
+        paths["cpu.max"].write_text(cpu_max)
+    if cfs is not None:
+        paths["cpu.cfs_quota_us"].write_text(cfs[0])
+        paths["cpu.cfs_period_us"].write_text(cfs[1])
+    monkeypatch.setattr(harness, "_CGROUP_CPU_MAX", paths["cpu.max"])
+    monkeypatch.setattr(harness, "_CGROUP_CFS_QUOTA", paths["cpu.cfs_quota_us"])
+    monkeypatch.setattr(harness, "_CGROUP_CFS_PERIOD", paths["cpu.cfs_period_us"])
+    assert harness._quota_cpus() == expected
+
+
+def _bundled_blas_threads() -> list[int]:
+    threads = []
+    for pkg, name in ((np, "scipy_openblas_get_num_threads64_"), (scipy, "scipy_openblas_get_num_threads")):
+        for lib in Path(pkg.__file__).parent.with_name(f"{pkg.__name__}.libs").glob("libscipy_openblas*.so"):
+            getter = getattr(ctypes.CDLL(str(lib)), name)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            threads.append(getter())
+    return threads
+
+
+def _blas_threads_draw(study, i, j):
+    return (float(max(_bundled_blas_threads())), float(os.getpid()), 0.0), True
+
+
+@pytest.mark.skipif(not harness._bundled_blas_setters(), reason="numpy or scipy has no bundled OpenBLAS")
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    # Each worker holds numpy's and scipy's OpenBLAS to one thread; the caller's are untouched.
+    before = _bundled_blas_threads()
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(harness, "_solve_draw", _blas_threads_draw)
+    report = run_rate_study(fast_config())
+    assert [row.error_sup for row in report.rows] == [1.0] * 4
+    assert os.getpid() not in {row.residual for row in report.rows}
+    assert len(before) == 2 and _bundled_blas_threads() == before
 
 
 def test_rate_study_beta_column(study_hoelder_p1):

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from oversmooth import (
     ParamChoice,
     RegularizerFamily,
     TikhonovProblem,
+    UncertifiedResultError,
     add_noise,
     choose_alpha,
     coupling_exponent,
@@ -252,3 +254,17 @@ def test_result_json_round_trip(setup):
     assert payload["certified"] is True
     assert np.array_equal(np.array(payload["v_min"]), res.v_min.values)
     assert payload["objective"] == res.objective
+
+
+def test_uncertified_error_pickle_round_trip(setup):
+    # An error that crosses a process boundary is pickled; it must come back
+    # with its message and the best point found.
+    problem, fam, u_true = setup
+    prob = make_prob(problem, 1e-2, 1e-2, seed=10)
+    res = minimize(prob, fam, u_true, seed=10)
+    err = UncertifiedResultError("objective exceeds the certificate bound", res)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is UncertifiedResultError
+    assert str(back) == str(err)
+    assert back.result.objective == res.objective
+    assert np.array_equal(back.result.v_min.values, res.v_min.values)
