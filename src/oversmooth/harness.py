@@ -103,6 +103,7 @@ class ExperimentConfig:
         if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
             raise ValueError("noise levels must be strictly decreasing")
         object.__setattr__(self, "delta_list", deltas)
+        self.quadrature()  # rejects a non-finite or non-positive quad_step or tail_tol
 
     def quadrature(self) -> QuadratureConfig:
         return QuadratureConfig(step=self.quad_step, tail_tol=self.tail_tol)
@@ -228,8 +229,8 @@ _CGROUP_CFS_PERIOD = Path("/sys/fs/cgroup/cpu/cpu.cfs_period_us")
 def _bundled_blas_setters() -> tuple[Callable[[int], None], ...]:
     """The thread-count setters of numpy's and scipy's bundled OpenBLAS; empty unless both are found.
 
-    numpy's BLAS runs the quadrature's matrix products and scipy's runs
-    L-BFGS-B, so a pool worker must hold both to one thread.
+    scipy's BLAS runs L-BFGS-B and numpy's runs any matrix product, so a pool
+    worker must hold both to one thread.
     """
     setters: list = []
     for pkg in (np, scipy):

@@ -162,6 +162,15 @@ def test_config_file_invalid_config_names_file(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == f"error: {path}: n_seeds must be at least 1"
 
 
+@pytest.mark.parametrize("line", ["quad_step = inf", "quad_step = nan", "tail_tol = nan", "tail_tol = inf"])
+def test_cli_rejects_non_finite_quadrature(tmp_path, capsys, line):
+    path = tmp_path / "quad.cfg"
+    path.write_text(f"p = 0.5\n{line}\n")
+    assert main(["rate-study", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and "finite" in err[0]
+
+
 @pytest.mark.parametrize("line", ["warm_chaining = true", "n_random_starts = 2"])
 def test_config_file_rejects_removed_solver_keys(tmp_path, line):
     path = tmp_path / "old.cfg"

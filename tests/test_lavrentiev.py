@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oversmooth import (
     GridFunction,
@@ -20,6 +22,11 @@ from oversmooth import (
 @pytest.fixture(scope="module")
 def fam(op256):
     return RegularizerFamily(op256, m=2)
+
+
+@pytest.fixture(scope="module")
+def hoelder_truth(op256, quad):
+    return make_truth("hoelder", op256, p=0.5, cfg=quad)
 
 
 def random_unit(op, rng):
@@ -286,3 +293,22 @@ def test_aux_saturation_guard(op256, quad):
     shallow = RegularizerFamily(op256, m=1)
     with pytest.raises(ValueError, match="saturation"):
         auxiliary_element(shallow, 0.1, GridFunction.ones(256), GridFunction.zeros(256), a=1.0, cfg=quad)
+
+
+@given(
+    beta=st.floats(min_value=1e-4, max_value=1.0),
+    amp=st.floats(min_value=0.01, max_value=3.0),
+    freq=st.floats(min_value=0.5, max_value=8.0),
+)
+def test_aux_witness_relation_property(fam, hoelder_truth, beta, amp, freq):
+    # u_aux - u_bar = G witness for any nonzero strong-norm witness of u_bar,
+    # and the surrogate also equals the companion form u_true - S_beta(u_true - u_bar).
+    op = fam.op
+    u_bar_w = GridFunction(amp * np.cos(freq * np.linspace(0.0, 1.0, op.n)))
+    aux = auxiliary_element(fam, beta, hoelder_truth, u_bar_w)
+    u_bar = op.apply(u_bar_w)
+    scale = 1.0 + aux.u_aux.sup_norm()
+    assert ((aux.u_aux - u_bar) - op.apply(aux.witness)).sup_norm() <= 1e-14 * scale
+    companion_form = hoelder_truth - fam.companion(beta, hoelder_truth - u_bar)
+    assert (aux.u_aux - companion_form).sup_norm() <= 1e-12 * scale
+    assert aux.one_norm == aux.witness.sup_norm()

@@ -114,28 +114,35 @@ def test_resolvent_matches_dense_solve(op64):
         assert np.max(np.abs(direct - fast)) < 1e-12 * np.max(np.abs(direct))
 
 
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
 @pytest.mark.parametrize("n", [64, 1025])
-def test_shifted_solve_paths_agree(n, quad):
-    # The single-shift lfilter path and the all-shifts row recurrence solve
-    # the same systems; compare them on the Balakrishnan grid of q = 0.5.
+def test_shifted_solve_paths_agree(n, q, quad):
+    # The convolution kernel folds all quadrature shifts into one pass; it must
+    # equal the written-out node sum C sum_k w_k (G + s_k I)^-1 G u of
+    # single-shift solves on the Balakrishnan grid of q.
     op = ScaleOperator(n)
-    t_min, t_max = quad.bounds_for(0.5)
-    shifts = np.exp(np.linspace(t_min, t_max, int(math.ceil((t_max - t_min) / quad.step)) + 1))
-    f = np.random.default_rng(4).uniform(-1.0, 1.0, n)
-    many = op._solve_shifted_many(shifts, f)
-    for k, s in enumerate(shifts):
-        single = op._solve_values(s, f)
-        assert np.max(np.abs(many[:, k] - single)) <= 1e-13 * np.max(np.abs(single))
+    t_min, t_max = quad.bounds_for(q)
+    m = int(math.ceil((t_max - t_min) / quad.step))
+    t = np.linspace(t_min, t_max, m + 1)
+    w = np.exp(q * t)
+    w[[0, -1]] *= 0.5
+    u = np.random.default_rng(4).uniform(-1.0, 1.0, n)
+    g = op._apply_values(u)
+    ref = sum(wk * op._solve_values(s, g) for wk, s in zip(w, np.exp(t)))
+    ref *= math.sin(math.pi * q) / math.pi * (t_max - t_min) / m
+    got = op._balakrishnan(q, u, quad)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_resolvent_norm_bound_random(op256):
+def test_resolvent_norm_bound_random():
     # Sampled positive-type bound ||(G + beta)^-1 f|| <= kappa_*/beta.
     rng = np.random.default_rng(11)
-    for beta in (1e-3, 1e-2, 1e-1, 1.0):
-        for _ in range(50):
-            f = unit_uniform(op256, rng)
-            v = op256.solve_shifted(beta, f)
-            assert v.sup_norm() <= op256.kappa_star / beta
+    for op in (ScaleOperator(256), ScaleOperator(1025), ScaleOperator(4097)):
+        for beta in (1e-3, 1e-2, 1e-1, 1.0):
+            for _ in range(50):
+                f = unit_uniform(op, rng)
+                v = op.solve_shifted(beta, f)
+                assert v.sup_norm() <= op.kappa_star / beta
 
 
 @pytest.mark.parametrize("beta", [1e-3, 1e-2, 1e-1, 1.0])
@@ -362,6 +369,11 @@ def test_quadrature_config_validation():
         QuadratureConfig(step=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(tail_tol=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureConfig(step=bad)
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureConfig(tail_tol=bad)
 
 
 def test_quadrature_bounds_clamp():
@@ -379,5 +391,23 @@ def test_power_quadrature_failure_surfaces(op64):
     from oversmooth import QuadratureError
 
     bad = QuadratureConfig(tail_tol=1e-300)
-    with pytest.raises(QuadratureError):
-        op64.power(0.5, GridFunction.ones(64), bad)
+    for _ in range(2):  # a failed kernel is not cached and served on the next call
+        with pytest.raises(QuadratureError):
+            op64.power(0.5, GridFunction.ones(64), bad)
+
+
+def test_power_result_is_independent_of_cached_kernel(op256, quad):
+    u = GridFunction(np.cos(np.linspace(0.0, 1.0, 256)))
+    vals = op256.power(0.5, u, quad).values
+    expected = vals.copy()
+    vals.flags.writeable = True  # GridFunction freezes its values; a caller can unfreeze them
+    vals[:] = 0.0
+    assert np.array_equal(op256.power(0.5, u, quad).values, expected)
+
+
+def test_power_kernel_keyed_by_tail_tol(op256):
+    u = GridFunction(np.cos(np.linspace(0.0, 1.0, 256)))
+    loose = op256.power(0.5, u, QuadratureConfig(tail_tol=1e-4)).values
+    tight = op256.power(0.5, u, QuadratureConfig(tail_tol=1e-8)).values
+    assert not np.array_equal(loose, tight)
+    assert np.max(np.abs(loose - tight)) <= 1e-3
