@@ -11,14 +11,12 @@ empirically here by seeded sampling.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .grids import GridFunction
+from .grids import GridFunction, csv_table
 from .scale import DEFAULT_QUADRATURE, QuadratureConfig, ScaleOperator, log_smooth_element
 
 __all__ = [
@@ -182,14 +180,7 @@ class NonlinearityReport:
         return self.n_prep_fail == 0 and self.n_a_fail == 0 and self.n_b_fail == 0
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("sample,theta_norm,delta_norm,ineq_prep,ineq_a,ineq_b,margin\n")
-        for i, tn, dn, pp, aa, bb, mg in self.rows:
-            buf.write(f"{i},{tn:.17g},{dn:.17g},{int(pp)},{int(aa)},{int(bb)},{mg:.17g}\n")
-        return buf.getvalue()
-
-    def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv())
+        return csv_table("sample,theta_norm,delta_norm,ineq_prep,ineq_a,ineq_b,margin", self.rows)
 
 
 def nonlinearity_check(

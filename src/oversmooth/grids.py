@@ -1,10 +1,9 @@
-"""Real-valued functions sampled on the uniform grid of [0, 1]."""
+"""Real-valued functions sampled on the uniform grid of [0, 1], and the CSV format of the report tables."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -84,15 +83,19 @@ class GridFunction:
     def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray], n: int) -> "GridFunction":
         return cls(np.asarray(fn(np.linspace(0.0, 1.0, n)), dtype=float))
 
-    # -- serialization ----------------------------------------------------
 
-    def save_text(self, path: str | Path) -> None:
-        """Write a plain two-column (x_i, value) text file."""
-        np.savetxt(path, np.column_stack([self.x, self.values]), fmt="%.17g")
+def csv_table(header: str, rows: Iterable[Iterable[object]]) -> str:
+    """The frozen report format: the header line, then one comma-separated line per row.
 
-    @classmethod
-    def load_text(cls, path: str | Path) -> "GridFunction":
-        data = np.loadtxt(path)
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ValueError("expected a two-column (x, value) text file")
-        return cls(data[:, 1])
+    Floats (numpy.float64 included) print at 17 significant digits, which reads
+    back bit for bit; bools (numpy.bool_ included) print as 0/1; ints and
+    strings print as they are.
+    """
+
+    def cell(v: object) -> str:
+        if isinstance(v, (bool, np.bool_)):
+            return str(int(v))
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    lines = [header] + [",".join(map(cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -16,7 +16,6 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import functools
-import io
 import json
 import math
 import multiprocessing
@@ -25,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence, get_type_hints
+from typing import Callable, Iterable, Sequence, get_type_hints
 
 import numpy as np
 import scipy
@@ -33,7 +32,7 @@ import scipy
 from . import __version__
 from .exp_volterra import ExpVolterraProblem, NoiseSpec, add_noise, make_problem, make_truth, nonlinearity_check
 from .fitting import NOISE_FLOOR, SlopeFit, fit_slope
-from .grids import GridFunction
+from .grids import GridFunction, csv_table
 from .lavrentiev import RegularizerFamily, decay_check, gap_table
 from .scale import QuadratureConfig, ScaleOperator, riemann_liouville
 from .tikhonov import (
@@ -97,13 +96,20 @@ class ExperimentConfig:
             raise ValueError(f"unknown regime: {self.regime!r}")
         if self.m < 1 + self.a:
             raise ValueError("need saturation m >= 1 + a")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         deltas = tuple(float(d) for d in self.delta_list)
+        if not deltas:
+            raise ValueError("delta_list needs at least one noise level")
         if any(d <= 0.0 for d in deltas):
             raise ValueError("noise levels must be positive")
         if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
             raise ValueError("noise levels must be strictly decreasing")
         object.__setattr__(self, "delta_list", deltas)
-        self.quadrature()  # rejects a non-finite or non-positive quad_step or tail_tol
+        # Build the quadrature, alpha rule and noise spec of a study: bad fields fail here, not mid-run.
+        self.quadrature()
+        choose_alpha(self.param_choice(), deltas[0], self.r, self.a)
+        NoiseSpec(deltas[0], self.noise_kind)
 
     def quadrature(self) -> QuadratureConfig:
         return QuadratureConfig(step=self.quad_step, tail_tol=self.tail_tol)
@@ -143,15 +149,9 @@ class RateReport:
     version: str
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("delta,alpha,beta,error_sup,residual,penalty,certified\n")
-        for row in self.rows:
-            buf.write(
-                f"{row.delta:.17g},{row.alpha:.17g},{row.beta:.17g},"
-                f"{row.error_sup:.17g},{row.residual:.17g},{row.penalty:.17g},"
-                f"{int(row.certified)}\n"
-            )
-        return buf.getvalue()
+        return csv_table(
+            "delta,alpha,beta,error_sup,residual,penalty,certified", map(dataclasses.astuple, self.rows)
+        )
 
     def to_json(self) -> str:
         payload = {
@@ -166,15 +166,6 @@ class RateReport:
             "version": self.version,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    def write(self, out_dir: str | Path, stem: str = "rate_study") -> tuple[Path, Path]:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / f"{stem}.csv"
-        json_path = out / f"{stem}.json"
-        csv_path.write_text(self.to_csv())
-        json_path.write_text(self.to_json())
-        return csv_path, json_path
 
 
 @dataclass(frozen=True)
@@ -229,8 +220,11 @@ _CGROUP_CFS_PERIOD = Path("/sys/fs/cgroup/cpu/cpu.cfs_period_us")
 def _bundled_blas_setters() -> tuple[Callable[[int], None], ...]:
     """The thread-count setters of numpy's and scipy's bundled OpenBLAS; empty unless both are found.
 
-    scipy's BLAS runs L-BFGS-B and numpy's runs any matrix product, so a pool
-    worker must hold both to one thread.
+    scipy's BLAS runs L-BFGS-B; no matrix product of numpy's runs in a solve.
+    A pool worker still holds both to one thread: on a 2-CPU host with no
+    thread variables set, workers that held neither made the default p=0.5
+    study about 8 times slower in the median (25.0-59.8 s against 3.9-5.6 s,
+    five runs each), with byte-identical reports.
     """
     setters: list = []
     for pkg in (np, scipy):
@@ -315,6 +309,12 @@ def _solve_all(study: _Study, tasks: list[tuple[int, int]]) -> list[tuple[tuple[
         return list(pool.map(_solve_in_worker, tasks))
 
 
+def _bounded_ratio(points: Iterable[tuple[float, float]]) -> float:
+    """max / min of g * log(1/x) over the (x, g) points; it stays bounded when g decays like 1/log(1/x)."""
+    scaled = [g * math.log(1.0 / x) for x, g in points]
+    return max(scaled) / min(scaled)
+
+
 def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateReport:
     """Run the configured noise sweep and summarize the reconstruction errors.
 
@@ -379,8 +379,7 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     if cfg.regime == "hoelder":
         passed = fitted is not None and abs(fitted - expected) <= cfg.slope_tolerance
     elif cfg.regime == "low_order":
-        scaled = [r.error_sup * math.log(1.0 / r.delta) for r in certified]
-        statistic = max(scaled) / min(scaled)
+        statistic = _bounded_ratio((r.delta, r.error_sup) for r in certified)
         passed = all(r.certified for r in rows) and statistic <= cfg.bounded_ratio_limit
     else:
         errs = [r.error_sup for r in rows]
@@ -425,17 +424,15 @@ def _suite_fracpow(cfg: ExperimentConfig) -> CheckResult:
     }
     tol = 1e-3
     lines = []
-    buf = io.StringIO()
-    buf.write("p,u,sup_err,tol,pass\n")
-    ok = True
+    rows = []
     for p in (0.25, 0.5, 0.75):
         for name, u in probes.items():
             err = (op.power(p, u, quad) - riemann_liouville(p, u)).sup_norm()
             good = err <= tol
-            ok = ok and good
             lines.append(f"p={p} u={name}: sup_err={err:.3e} {'PASS' if good else 'FAIL'}")
-            buf.write(f"{p},{name},{err:.17g},{tol},{int(good)}\n")
-    return CheckResult("fracpow-check", ok, tuple(lines), {"fracpow_check.csv": buf.getvalue()})
+            rows.append((p, name, err, tol, good))
+    artifacts = {"fracpow_check.csv": csv_table("p,u,sup_err,tol,pass", rows)}
+    return CheckResult("fracpow-check", all(row[-1] for row in rows), tuple(lines), artifacts)
 
 
 def _suite_decay(cfg: ExperimentConfig) -> CheckResult:
@@ -484,31 +481,25 @@ def _suite_aux_rates(cfg: ExperimentConfig) -> CheckResult:
     betas_log = list(np.geomspace(1e-1, 1e-6, 11))
     table = gap_table(fam, betas_log, u_log, zero, a=cfg.a, cfg=quad)
     artifacts["gaps_low_order.csv"] = table.to_csv()
+    diagnostics = []
     for name, vals in (("g1", table.g1), ("g2", table.g2), ("g3", table.g3)):
-        scaled = [g * math.log(1.0 / b) for b, g in zip(table.betas, vals)]
-        ratio = max(scaled) / min(scaled)
+        ratio = _bounded_ratio(zip(table.betas, vals))
         good = ratio <= cfg.bounded_ratio_limit
         ok = ok and good
         lines.append(
             f"low-order {name}: max/min of g*log(1/beta) = {ratio:.2f} "
             f"<= {cfg.bounded_ratio_limit} {'PASS' if good else 'FAIL'}"
         )
-    # Diagnostic: the same statistic restricted to the zone the grid resolves
-    # (beta at or above the mesh width); below it every grid vector is
-    # maximally smooth and the gaps decay faster than 1/log.
-    resolved = [
-        (b, g1, g2, g3)
-        for b, g1, g2, g3 in zip(table.betas, table.g1, table.g2, table.g3)
-        if b >= 1.0 / (cfg.grid_n - 1)
-    ]
-    if len(resolved) >= 2:
-        for idx, name in ((1, "g1"), (2, "g2"), (3, "g3")):
-            scaled = [row[idx] * math.log(1.0 / row[0]) for row in resolved]
-            lines.append(
+        # Diagnostic: the same statistic restricted to the zone the grid resolves
+        # (beta at or above the mesh width); below it every grid vector is
+        # maximally smooth and the gaps decay faster than 1/log.
+        resolved = [(b, g) for b, g in zip(table.betas, vals) if b >= 1.0 / (cfg.grid_n - 1)]
+        if len(resolved) >= 2:
+            diagnostics.append(
                 f"low-order {name} (resolved zone beta >= h): "
-                f"max/min = {max(scaled) / min(scaled):.2f} [diagnostic]"
+                f"max/min = {_bounded_ratio(resolved):.2f} [diagnostic]"
             )
-    return CheckResult("aux-rates", ok, tuple(lines), artifacts)
+    return CheckResult("aux-rates", ok, tuple(lines + diagnostics), artifacts)
 
 
 def _suite_nonlinearity(cfg: ExperimentConfig) -> CheckResult:

@@ -21,15 +21,13 @@ quantify them and are tabulated here for empirical rate checks.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .fitting import NOISE_FLOOR, fit_slope
-from .grids import GridFunction
+from .grids import GridFunction, csv_table
 from .scale import DEFAULT_QUADRATURE, QuadratureConfig, ScaleOperator
 
 __all__ = [
@@ -123,14 +121,7 @@ class DecayReport:
     fitted_slope: float
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("beta,norm,ratio\n")
-        for beta, norm, ratio in zip(self.betas, self.norms, self.ratios):
-            buf.write(f"{beta:.17g},{norm:.17g},{ratio:.17g}\n")
-        return buf.getvalue()
-
-    def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv())
+        return csv_table("beta,norm,ratio", zip(self.betas, self.norms, self.ratios))
 
 
 def decay_check(
@@ -242,14 +233,7 @@ class GapTable:
     g3: tuple[float, ...]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("beta,g1,g2,g3\n")
-        for row in zip(self.betas, self.g1, self.g2, self.g3):
-            buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        return buf.getvalue()
-
-    def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv())
+        return csv_table("beta,g1,g2,g3", zip(self.betas, self.g1, self.g2, self.g3))
 
 
 def gap_table(

@@ -22,7 +22,6 @@ achievable by construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -156,20 +155,6 @@ class MinimizeResult:
     penalty: float
     certificate_bound: float
     certified: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "u_min": self.u_min.values.tolist(),
-            "v_min": self.v_min.values.tolist(),
-            "objective": self.objective,
-            "residual": self.residual,
-            "penalty": self.penalty,
-            "certificate_bound": self.certificate_bound,
-            "certified": self.certified,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 class UncertifiedResultError(RuntimeError):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oversmooth import GridFunction
+from oversmooth.grids import csv_table
 
 finite_values = arrays(
     np.float64,
@@ -68,10 +69,7 @@ def test_from_callable():
     assert np.allclose(u.values, u.x**2)
 
 
-@given(finite_values)
-def test_text_round_trip(tmp_path_factory, vals):
-    path = tmp_path_factory.mktemp("io") / "u.txt"
-    u = GridFunction(vals)
-    u.save_text(path)
-    v = GridFunction.load_text(path)
-    assert np.array_equal(u.values, v.values)
+def test_csv_table_bytes():
+    rows = [(np.float64(0.1), True, np.True_, 7, "ones"), (0.25, False, np.False_, np.int64(-3), "x")]
+    assert csv_table("f,b,nb,i,s", rows) == "f,b,nb,i,s\n0.10000000000000001,1,1,7,ones\n0.25,0,0,-3,x\n"
+    assert csv_table("only,header", []) == "only,header\n"

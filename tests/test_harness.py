@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -68,6 +69,8 @@ def test_config_validation():
         ExperimentConfig(m=1)  # saturation below 1 + a
     with pytest.raises(ValueError):
         ExperimentConfig(delta_list=(1e-3, 1e-2))
+    with pytest.raises(ValueError, match="at least one noise level"):
+        ExperimentConfig(delta_list=())
     with pytest.raises(ValueError):
         ExperimentConfig(regime="other")
     with pytest.raises(ValueError):
@@ -162,13 +165,30 @@ def test_config_file_invalid_config_names_file(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == f"error: {path}: n_seeds must be at least 1"
 
 
-@pytest.mark.parametrize("line", ["quad_step = inf", "quad_step = nan", "tail_tol = nan", "tail_tol = inf"])
+#: Config lines that ExperimentConfig rejects before a study starts -> a fragment of the error.
+BAD_CONFIG_LINES = {
+    "quad_step = inf": "finite",
+    "quad_step = nan": "finite",
+    "tail_tol = nan": "finite",
+    "tail_tol = inf": "finite",
+    "max_iter = 0": "max_iter must be at least 1",
+    "max_iter = -1": "max_iter must be at least 1",
+    "p = 1.5": "order p in (0, 1]",
+    "c_alpha = 0": "constant C must be positive",
+    "r = 0": "exponents r and a must be positive",
+    "a = -0.5": "exponents r and a must be positive",
+    "noise_kind = foo": "unknown noise kind: 'foo'",
+}
+
+
+@pytest.mark.parametrize("line", list(BAD_CONFIG_LINES))
 def test_cli_rejects_non_finite_quadrature(tmp_path, capsys, line):
+    # Bad quadrature settings, and the study fields that a run would otherwise reject only mid-run.
     path = tmp_path / "quad.cfg"
     path.write_text(f"p = 0.5\n{line}\n")
     assert main(["rate-study", "--config", str(path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and "finite" in err[0]
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and BAD_CONFIG_LINES[line] in err[0]
 
 
 @pytest.mark.parametrize("line", ["warm_chaining = true", "n_random_starts = 2"])
@@ -210,13 +230,10 @@ def test_rate_study_json(fast_report):
     assert len(payload["rows"]) == 4
 
 
-def test_rate_study_deterministic(fast_report, tmp_path):
+def test_rate_study_deterministic(fast_report):
     again = run_rate_study(fast_config(), timestamp="2000-01-01T00:00:00+00:00")
     assert again.to_csv() == fast_report.to_csv()
     assert again.to_json() == fast_report.to_json()
-    a, b = again.write(tmp_path, stem="study")
-    assert a.read_text() == fast_report.to_csv()
-    assert b.read_text() == fast_report.to_json()
 
 
 def force_workers(monkeypatch, n):
@@ -449,3 +466,15 @@ def test_cli_config_file(tmp_path, capsys):
     assert (tmp_path / "rate_study.json").exists()
     payload = json.loads((tmp_path / "rate_study.json").read_text())
     assert payload["config"]["grid_n"] == 64
+
+
+# -- public names -------------------------------------------------------------------
+
+
+_SUBMODULES = ("grids", "scale", "fitting", "lavrentiev", "exp_volterra", "tikhonov", "harness")
+
+
+@pytest.mark.parametrize("module", ["oversmooth", *(f"oversmooth.{m}" for m in _SUBMODULES)])
+def test_public_names_resolve(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -1,4 +1,3 @@
-import json
 import pickle
 
 import numpy as np
@@ -235,25 +234,6 @@ def test_smoothed_gradient_matches_finite_differences(op64, quad):
         fd = (fp - fm) / (2.0 * t)
         exact = float(grad @ d)
         assert abs(fd - exact) <= 1e-5 * max(abs(exact), 1e-10)
-
-
-def test_result_json_round_trip(setup):
-    problem, fam, u_true = setup
-    prob = make_prob(problem, 1e-2, 1e-2, seed=9)
-    res = minimize(prob, fam, u_true, seed=9)
-    payload = json.loads(res.to_json())
-    assert set(payload) == {
-        "u_min",
-        "v_min",
-        "objective",
-        "residual",
-        "penalty",
-        "certificate_bound",
-        "certified",
-    }
-    assert payload["certified"] is True
-    assert np.array_equal(np.array(payload["v_min"]), res.v_min.values)
-    assert payload["objective"] == res.objective
 
 
 def test_uncertified_error_pickle_round_trip(setup):
