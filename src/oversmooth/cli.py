@@ -7,7 +7,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .harness import REGIME_NAMES, SUITE_NAMES, CheckResult, ExperimentConfig, parse_config_file, run_suite
+from .harness import REGIME_NAMES, SUITE_NAMES, CheckResult, ExperimentConfig, config_file_values, run_suite
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -47,14 +47,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if args.config is not None:
-        cfg = parse_config_file(args.config, cfg)
+    """The config file's values overridden by the flags, validated together once.
+
+    An invalid result names the config file, unless the flags alone are invalid.
+    """
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    if "regime" in overrides:
-        overrides["regime"] = REGIME_NAMES[overrides["regime"]]
-    return dataclasses.replace(cfg, **overrides)
+    flags = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    if "regime" in flags:
+        flags["regime"] = REGIME_NAMES[flags["regime"]]
+    if args.config is None:
+        return ExperimentConfig(**flags)
+    try:
+        return ExperimentConfig(**{**config_file_values(args.config), **flags})
+    except ValueError as exc:
+        ExperimentConfig(**flags)  # flags invalid on their own raise here, without the file's name
+        raise ValueError(f"{args.config}: {exc}") from None
 
 
 def _emit(results: list[CheckResult], out_dir: Path | None) -> int:

@@ -441,20 +441,19 @@ def _suite_decay(cfg: ExperimentConfig) -> CheckResult:
     fam = RegularizerFamily(op, m=cfg.m)
     betas = list(np.geomspace(1e-1, 1e-4, 7))
     bound = (op.kappa_star + 1.0) ** cfg.m
+    *bounded, half = decay_check(fam, (0.0, 1.0, float(cfg.m), 0.5), betas, seed=cfg.seed, cfg=quad)
     lines = []
     artifacts = {}
     ok = True
-    for p in (0.0, 1.0, float(cfg.m)):
-        rep = decay_check(fam, p, betas, seed=cfg.seed, cfg=quad)
+    for rep in bounded:
         good = rep.max_ratio <= bound
         ok = ok and good
-        lines.append(f"p={p}: max ||S G^p||/beta^p = {rep.max_ratio:.3f} <= {bound} {'PASS' if good else 'FAIL'}")
-        artifacts[f"decay_p{p:g}.csv"] = rep.to_csv()
-    rep = decay_check(fam, 0.5, betas, seed=cfg.seed, cfg=quad)
-    good = 0.45 <= rep.fitted_slope <= 0.55
+        lines.append(f"p={rep.p}: max ||S G^p||/beta^p = {rep.max_ratio:.3f} <= {bound} {'PASS' if good else 'FAIL'}")
+        artifacts[f"decay_p{rep.p:g}.csv"] = rep.to_csv()
+    good = 0.45 <= half.fitted_slope <= 0.55
     ok = ok and good
-    lines.append(f"p=0.5: fitted slope = {rep.fitted_slope:.4f} in [0.45, 0.55] {'PASS' if good else 'FAIL'}")
-    artifacts["decay_p0.5.csv"] = rep.to_csv()
+    lines.append(f"p=0.5: fitted slope = {half.fitted_slope:.4f} in [0.45, 0.55] {'PASS' if good else 'FAIL'}")
+    artifacts["decay_p0.5.csv"] = half.to_csv()
     return CheckResult("decay-check", ok, tuple(lines), artifacts)
 
 
@@ -563,12 +562,21 @@ def parse_config_file(path: str | Path, base: ExperimentConfig | None = None) ->
     ``delta_list`` is comma separated, and ``regime`` also takes the CLI spellings of ``REGIME_NAMES``.
     """
     base = base if base is not None else ExperimentConfig()
+    overrides = config_file_values(path)
+    try:
+        return dataclasses.replace(base, **overrides)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def config_file_values(path: str | Path) -> dict[str, object]:
+    """The fields a config file sets, parsed as in ``parse_config_file`` but not yet validated together."""
     parsers = {
         **get_type_hints(ExperimentConfig),
         "delta_list": lambda value: tuple(float(tok) for tok in value.split(",") if tok.strip()),
         "regime": lambda value: REGIME_NAMES.get(value, value),
     }
-    overrides: dict[str, object] = {}
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -579,10 +587,7 @@ def parse_config_file(path: str | Path, base: ExperimentConfig | None = None) ->
         if key not in parsers:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            overrides[key] = parsers[key](value)
+            values[key] = parsers[key](value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-    try:
-        return dataclasses.replace(base, **overrides)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return values

@@ -28,7 +28,7 @@ import numpy as np
 
 from .fitting import NOISE_FLOOR, fit_slope
 from .grids import GridFunction, csv_table
-from .scale import DEFAULT_QUADRATURE, QuadratureConfig, ScaleOperator
+from .scale import DEFAULT_QUADRATURE, ROW_BLOCK, QuadratureConfig, ScaleOperator, split_order
 
 __all__ = [
     "RegularizerFamily",
@@ -78,10 +78,13 @@ class RegularizerFamily:
         if beta <= 0.0:
             raise ValueError("beta must be positive")
         self.op._check_size(f)
-        v = f.values
+        return GridFunction(self._companion_values(beta, f.values))
+
+    def _companion_values(self, beta: float, v: np.ndarray) -> np.ndarray:
+        """S_beta along the last axis: of one vector, or of each row of a (k, n) block."""
         for _ in range(self.m):
             v = beta * self.op._solve_values(beta, v)
-        return GridFunction(v)
+        return v
 
 
 def unit_probes(n: int, count: int, seed: int) -> list[GridFunction]:
@@ -126,40 +129,71 @@ class DecayReport:
 
 def decay_check(
     fam: RegularizerFamily,
-    p: float,
+    orders: Sequence[float] | float,
     betas: Sequence[float],
     n_samples: int = 100,
     seed: int = 0,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> DecayReport:
-    """Estimate ||S_beta G^p|| by probe sampling and report decay against beta^p.
+) -> list[DecayReport] | DecayReport:
+    """Estimate ||S_beta G^p|| by probe sampling for each order p; one report per order.
 
-    The power order may not exceed the family's saturation m; the estimate is
-    a reproducible lower bound on the operator norm, adequate for slope fits.
+    Every order p must lie in [0, m], the family's saturation.  The estimate
+    is the largest sup norm of S_beta G^p u over the probes u of
+    ``unit_probes``: a reproducible lower bound on the operator norm, adequate
+    for slope fits.  The probes are stacked and taken ``ROW_BLOCK`` rows at a
+    time.  Orders that share a fractional residue q share the work on a block:
+    G^q is applied once, the companion once per beta, and an integer part k is
+    added by k more applications of G, since S_beta commutes with G.  The
+    reports come in the order of ``orders``; a single number in place of the
+    list returns its report alone.
     """
-    if p < 0.0:
-        raise ValueError("power order must be nonnegative")
-    if p > fam.saturation:
-        raise ValueError(f"power order {p} exceeds the saturation {fam.saturation}")
+    single = np.ndim(orders) == 0
+    plist = [float(p) for p in np.atleast_1d(orders)]
+    if not plist:
+        raise ValueError("need at least one power order")
+    for p in plist:
+        if p < 0.0:
+            raise ValueError("power order must be nonnegative")
+        if p > fam.saturation:
+            raise ValueError(f"power order {p} exceeds the saturation {fam.saturation}")
     blist = [float(b) for b in betas]
     if any(b <= 0.0 for b in blist):
         raise ValueError("betas must be positive")
     if any(b2 >= b1 for b1, b2 in zip(blist, blist[1:])):
         raise ValueError("betas must be strictly decreasing")
 
-    probes = unit_probes(fam.op.n, n_samples, seed)
-    powered = [fam.op.power(p, u, cfg) for u in probes]
-    norms = [max(fam.companion(b, w).sup_norm() for w in powered) for b in blist]
-    ratios = [nrm / b**p for nrm, b in zip(norms, blist)]
-    fit = fit_slope([(b, nrm) for b, nrm in zip(blist, norms) if nrm > NOISE_FLOOR])
-    return DecayReport(
-        p=p,
-        betas=tuple(blist),
-        norms=tuple(norms),
-        ratios=tuple(ratios),
-        max_ratio=max(ratios),
-        fitted_slope=fit.slope,
-    )
+    op = fam.op
+    probes = np.stack([u.values for u in unit_probes(op.n, n_samples, seed)])
+    parts = [split_order(p) for p in plist]
+    # Per residue q, the norms by [k, beta] for k up to the largest integer part with that residue.
+    peaks = {q: np.zeros((1 + max(k for k, r in parts if r == q), len(blist))) for _, q in parts}
+    for start in range(0, len(probes), ROW_BLOCK):
+        block = probes[start : start + ROW_BLOCK]
+        for q, peak in peaks.items():
+            powered = block if q == 0.0 else op._balakrishnan(q, block, cfg)
+            for j, b in enumerate(blist):
+                v = fam._companion_values(b, powered)
+                for k in range(len(peak)):
+                    if k > 0:
+                        v = op._apply_values(v)
+                    peak[k, j] = max(peak[k, j], np.max(np.abs(v)))
+
+    reports = []
+    for p, (k, q) in zip(plist, parts):
+        norms = [float(nrm) for nrm in peaks[q][k]]
+        ratios = [nrm / b**p for nrm, b in zip(norms, blist)]
+        fit = fit_slope([(b, nrm) for b, nrm in zip(blist, norms) if nrm > NOISE_FLOOR])
+        reports.append(
+            DecayReport(
+                p=p,
+                betas=tuple(blist),
+                norms=tuple(norms),
+                ratios=tuple(ratios),
+                max_ratio=max(ratios),
+                fitted_slope=fit.slope,
+            )
+        )
+    return reports[0] if single else reports
 
 
 @dataclass(frozen=True)

@@ -104,10 +104,9 @@ def test_criterion_4_companion_decay(op256, quad):
     fam = RegularizerFamily(op256, m=2)
     betas = list(np.geomspace(1e-1, 1e-4, 7))
     bound = (op256.kappa_star + 1.0) ** 2
-    ratios = {}
-    for p in (0.0, 1.0, 2.0):
-        ratios[p] = decay_check(fam, p, betas, seed=0, cfg=quad).max_ratio
-    slope = decay_check(fam, 0.5, betas, seed=0, cfg=quad).fitted_slope
+    *bounded, half = decay_check(fam, [0.0, 1.0, 2.0, 0.5], betas, seed=0, cfg=quad)
+    ratios = {rep.p: rep.max_ratio for rep in bounded}
+    slope = half.fitted_slope
     passed = all(r <= bound for r in ratios.values()) and 0.45 <= slope <= 0.55
     report(
         "4 companion-decay",

@@ -210,6 +210,38 @@ def test_nonlinearity_validation(ramp_problem):
         nonlinearity_check(ramp_problem, rho=0.5, eps=ramp_problem.c1 * 2.0)
 
 
+def test_nonlinearity_blocks_match_per_sample_loop(op64, quad):
+    # The samples run in row blocks; every row must equal the per-sample
+    # computation written out, bit for bit.  37 samples leave a partial last block.
+    prob = make_problem(op64, make_truth("hoelder", op64, p=1.0, cfg=quad))
+    rho, eps, n_samples, seed = 0.5, prob.c1 / 2.0, 37, 3
+    rng = np.random.default_rng(seed)
+    f_truth = prob.forward(prob.u_true).values
+    want = []
+    for i in range(n_samples):
+        step = op64.apply(GridFunction(rng.uniform(-1.0, 1.0, 64))).values
+        theta_raw = op64.apply(GridFunction(step)).values
+        nrm = np.max(np.abs(theta_raw))
+        target = rng.uniform(0.0, rho)
+        scale = 0.0 if nrm == 0.0 else target / nrm
+        theta = scale * theta_raw
+        delta = prob.forward(GridFunction(prob.u_true.values + scale * step)).values - f_truth
+        theta_norm = float(np.max(np.abs(theta)))
+        delta_norm = float(np.max(np.abs(delta)))
+        prep = float(np.min(np.abs(theta) * np.abs(delta) - np.abs(delta - f_truth * theta)))
+        margins = [prep]
+        ok_a = ok_b = True
+        if theta_norm <= rho:
+            margins.append(theta_norm - (1.0 - rho) / prob.c2 * delta_norm)
+            ok_a = margins[-1] >= -1e-12
+        if delta_norm <= prob.c1 - eps:
+            margins.append(delta_norm - eps * theta_norm)
+            ok_b = margins[-1] >= -1e-12
+        want.append((i, theta_norm, delta_norm, prep >= -1e-12, ok_a, ok_b, min(margins)))
+    rep = nonlinearity_check(prob, rho=rho, n_samples=n_samples, seed=seed)
+    assert rep.rows == tuple(want)
+
+
 def test_nonlinearity_csv(ramp_problem):
     rep = nonlinearity_check(ramp_problem, rho=0.5, n_samples=3, seed=0)
     lines = rep.to_csv().strip().split("\n")

@@ -454,6 +454,22 @@ def test_cli_flags_override_config_file(tmp_path):
     assert cfg.n_seeds == 3
 
 
+def test_cli_flags_override_invalid_config_value(tmp_path, capsys):
+    # The file alone is invalid (p = 1.5, grid_n = 32); the flags replace both before validation.
+    cfg_file = tmp_path / "study.cfg"
+    cfg_file.write_text("p = 1.5\ngrid_n = 32\ndelta_list = 1e-1, 1e-2, 1e-3\nn_seeds = 1\nmax_iter = 60\n")
+    argv = ["rate-study", "--config", str(cfg_file), "--p", "0.5", "--grid-n", "64"]
+    cfg = _config_from_args(build_parser().parse_args(argv))
+    assert (cfg.p, cfg.grid_n, cfg.n_seeds, cfg.max_iter) == (0.5, 64, 1, 60)
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    # An invalid value left from the file names the file; invalid flags are reported without it.
+    assert main(["rate-study", "--config", str(cfg_file), "--p", "0.5"]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {cfg_file}: grid_n must be at least 64"
+    assert main(["rate-study", "--config", str(cfg_file), "--p", "0.5", "--grid-n", "32"]) == 2
+    assert capsys.readouterr().err.strip() == "error: grid_n must be at least 64"
+
+
 def test_cli_config_file(tmp_path, capsys):
     cfg_file = tmp_path / "fast.cfg"
     cfg_file.write_text(

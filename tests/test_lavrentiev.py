@@ -13,6 +13,7 @@ from oversmooth import (
     decay_check,
     fit_slope,
     gap_table,
+    lavrentiev,
     log_smooth_element,
     make_truth,
     unit_probes,
@@ -112,16 +113,16 @@ def test_regularized_power_bound(fam, quad):
 def test_decay_validation(fam):
     betas = list(np.geomspace(1e-1, 1e-4, 7))
     with pytest.raises(ValueError, match="saturation"):
-        decay_check(fam, 2.5, betas)
+        decay_check(fam, [2.5], betas)
     with pytest.raises(ValueError, match="decreasing"):
-        decay_check(fam, 0.5, [1e-4, 1e-1])
+        decay_check(fam, [0.5], [1e-4, 1e-1])
     with pytest.raises(ValueError):
-        decay_check(fam, -1.0, betas)
+        decay_check(fam, [-1.0], betas)
 
 
 def test_decay_bounded_at_zero_order(fam, quad):
     betas = list(np.geomspace(1e-1, 1e-4, 7))
-    rep = decay_check(fam, 0.0, betas, seed=0, cfg=quad)
+    (rep,) = decay_check(fam, [0.0], betas, seed=0, cfg=quad)
     assert rep.max_ratio <= (fam.op.kappa_star + 1.0) ** fam.m
     assert abs(rep.fitted_slope) <= 0.2
 
@@ -129,23 +130,68 @@ def test_decay_bounded_at_zero_order(fam, quad):
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_decay_integer_orders(fam, quad, p):
     betas = list(np.geomspace(1e-1, 1e-4, 7))
-    rep = decay_check(fam, p, betas, seed=0, cfg=quad)
+    (rep,) = decay_check(fam, [p], betas, seed=0, cfg=quad)
     assert rep.max_ratio <= (fam.op.kappa_star + 1.0) ** fam.m
     assert abs(rep.fitted_slope - p) <= 0.15
 
 
 def test_decay_half_order_slope(fam, quad):
     betas = list(np.geomspace(1e-1, 1e-4, 7))
-    rep = decay_check(fam, 0.5, betas, seed=0, cfg=quad)
+    (rep,) = decay_check(fam, [0.5], betas, seed=0, cfg=quad)
     assert 0.45 <= rep.fitted_slope <= 0.55
 
 
 def test_decay_csv_format(fam, quad):
     betas = list(np.geomspace(1e-1, 1e-3, 3))
-    rep = decay_check(fam, 1.0, betas, n_samples=5, seed=0, cfg=quad)
+    (rep,) = decay_check(fam, [1.0], betas, n_samples=5, seed=0, cfg=quad)
     lines = rep.to_csv().strip().split("\n")
     assert lines[0] == "beta,norm,ratio"
     assert len(lines) == 4
+
+
+def test_decay_orders_match_written_out_definition(fam, quad, monkeypatch):
+    # One call for all orders against max over probes w of ||S_beta G^p w|| per order and beta.
+    # Orders 0 and 0.5 take the same operations as the definition; orders 1 and 2
+    # apply G after S_beta instead of before, so they agree up to rounding.
+    # 4 + 37 probes leave a partial last block of rows; its probe is scaled up
+    # so that the largest norms come from it.
+    probes = unit_probes(fam.op.n, 37, 0)
+    probes[-1] = probes[-1] * 100.0
+    monkeypatch.setattr(lavrentiev, "unit_probes", lambda n, count, seed: list(probes))
+    betas = list(np.geomspace(1e-1, 1e-4, 7))
+    orders = (0.0, 1.0, 2.0, 0.5)
+    reports = decay_check(fam, orders, betas, n_samples=37, seed=0, cfg=quad)
+    assert [rep.p for rep in reports] == list(orders)
+    for p, rep in zip(orders, reports):
+        powered = [fam.op.power(p, w, quad) for w in probes]
+        want = [max(fam.companion(b, w).sup_norm() for w in powered) for b in betas]
+        assert rep.betas == tuple(betas)
+        if p in (0.0, 0.5):
+            assert list(rep.norms) == want
+        else:
+            np.testing.assert_allclose(rep.norms, want, rtol=1e-9, atol=0.0)
+        assert rep.ratios == tuple(nrm / b**p for nrm, b in zip(rep.norms, betas))
+
+
+@pytest.mark.parametrize(
+    "orders, match",
+    [
+        ([], "at least one power order"),
+        ([-1.0, 0.5], "nonnegative"),
+        ([0.0, 1.0, -0.5], "nonnegative"),
+        ([2.5, 0.5], "saturation"),
+        ([0.0, 1.0, 2.0, 2.5], "saturation"),
+    ],
+)
+def test_decay_rejects_bad_order_lists(fam, orders, match):
+    with pytest.raises(ValueError, match=match):
+        decay_check(fam, orders, list(np.geomspace(1e-1, 1e-4, 7)))
+
+
+def test_decay_single_order_returns_its_report(fam, quad):
+    betas = list(np.geomspace(1e-1, 1e-3, 3))
+    single = decay_check(fam, 0.5, betas, n_samples=5, seed=0, cfg=quad)
+    assert single == decay_check(fam, [0.5], betas, n_samples=5, seed=0, cfg=quad)[0]
 
 
 # -- auxiliary elements -----------------------------------------------------------

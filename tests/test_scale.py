@@ -114,6 +114,30 @@ def test_resolvent_matches_dense_solve(op64):
         assert np.max(np.abs(direct - fast)) < 1e-12 * np.max(np.abs(direct))
 
 
+@pytest.mark.parametrize("k", [1, 7])
+@pytest.mark.parametrize("n", [64, 4097])
+def test_block_primitives_match_rows(n, k, quad):
+    # A (k, n) block must give, row for row, exactly the floats of the 1-D call.
+    op = ScaleOperator(n)
+    block = np.random.default_rng(n + k).uniform(-1.0, 1.0, (k, n))
+    applied = op._apply_values(block)
+    assert applied.shape == (k, n)
+    assert all(np.array_equal(applied[i], op._apply_values(block[i])) for i in range(k))
+    for beta in (1e-4, 1e-2, 1.0):
+        solved = op._solve_values(beta, block)
+        assert solved.shape == (k, n)
+        assert all(np.array_equal(solved[i], op._solve_values(beta, block[i])) for i in range(k))
+    powered = op._balakrishnan(0.5, block, quad)
+    assert all(np.array_equal(powered[i], op._balakrishnan(0.5, block[i], quad)) for i in range(k))
+
+
+def test_apply_is_the_plain_trapezoid_formula(op256):
+    u = np.random.default_rng(5).uniform(-1.0, 1.0, 256)
+    plain = op256.h * (np.cumsum(u) - 0.5 * (u + u[0]))
+    plain[0] = 0.0
+    assert np.array_equal(op256._apply_values(u), plain)
+
+
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
 @pytest.mark.parametrize("n", [64, 1025])
 def test_shifted_solve_paths_agree(n, q, quad):
