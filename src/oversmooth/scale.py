@@ -204,9 +204,11 @@ class ScaleOperator:
     def _apply_adjoint_values(self, w: np.ndarray) -> np.ndarray:
         # Column sums of the trapezoid matrix: column 0 carries weight h/2 on
         # every row >= 1, interior columns weight h below the diagonal and h/2
-        # on it.
-        tail = np.cumsum(w[::-1])[::-1]
-        out = self.h * tail - 0.5 * self.h * w
+        # on it.  The cumsum method and the in-place step match the out-of-place
+        # formula bit for bit, faster.
+        tail = w[::-1].cumsum()[::-1]
+        out = self.h * tail
+        out -= 0.5 * self.h * w
         out[0] = 0.5 * self.h * (tail[0] - w[0])
         return out
 

@@ -22,6 +22,7 @@ achievable by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -170,26 +171,35 @@ class UncertifiedResultError(RuntimeError):
 
 def _soft_abs_max(z: np.ndarray, temp: float) -> tuple[float, np.ndarray]:
     """Smooth max of |z| by log-sum-exp over +-z; returns value and d/dz weights."""
-    m = float(np.max(np.abs(z)))
-    ep = np.exp((z - m) / temp)
-    en = np.exp((-z - m) / temp)
-    total = float(np.sum(ep) + np.sum(en))
+    m = float(np.abs(z).max())
+    ep = z - m
+    ep /= temp
+    np.exp(ep, out=ep)
+    en = -z
+    en -= m
+    en /= temp
+    np.exp(en, out=en)
+    total = float(ep.sum() + en.sum())
     value = m + temp * np.log(total)
-    return value, (ep - en) / total
+    ep -= en
+    ep /= total
+    return value, ep
 
 
 def _forward(prob: TikhonovProblem, v: np.ndarray) -> np.ndarray:
     """F(u_bar + G v) = exp(g_bar + G G v) as values; entries that overflow are inf."""
     op = prob.forward_problem.op
+    x = op._apply_values(op._apply_values(v))
+    x += prob.g_bar
     with np.errstate(over="ignore"):
-        return np.exp(prob.g_bar + op._apply_values(op._apply_values(v)))
+        return np.exp(x, out=x)
 
 
 def _evaluate(prob: TikhonovProblem, v: np.ndarray) -> tuple[float, float, float]:
     """The true T at witness v, with its residual and penalty sup norms (T = inf on overflow)."""
     penalty = float(np.max(np.abs(v)))
     f = _forward(prob, v)
-    if not np.all(np.isfinite(f)):
+    if not math.isfinite(f.max()):
         return np.inf, np.inf, penalty
     residual = float(np.max(np.abs(f - prob.f_delta.values)))
     return residual**prob.r + prob.alpha * penalty**prob.r, residual, penalty
@@ -205,15 +215,18 @@ class SmoothedObjective:
     def value_and_grad(self, v: np.ndarray) -> tuple[float, np.ndarray]:
         prob, op = self.prob, self.prob.forward_problem.op
         f = _forward(prob, v)
-        if not np.all(np.isfinite(f)):
+        # f = exp(...) is >= 0, so its max is finite exactly when every entry is.
+        if not math.isfinite(f.max()):
             return np.inf, np.zeros_like(v)
-        res = f - prob.f_delta.values
-        s_res, w_res = _soft_abs_max(res, self.temp_res)
+        s_res, w_res = _soft_abs_max(f - prob.f_delta.values, self.temp_res)
         s_pen, w_pen = _soft_abs_max(v, self.temp_pen)
         r = prob.r
         value = s_res**r + prob.alpha * s_pen**r
-        back = op._apply_adjoint_values(op._apply_adjoint_values(f * w_res))
-        grad = r * s_res ** (r - 1.0) * back + prob.alpha * r * s_pen ** (r - 1.0) * w_pen
+        w_res *= f
+        grad = op._apply_adjoint_values(op._apply_adjoint_values(w_res))
+        grad *= r * s_res ** (r - 1.0)
+        w_pen *= prob.alpha * r * s_pen ** (r - 1.0)
+        grad += w_pen
         return value, grad
 
 

@@ -236,6 +236,59 @@ def test_smoothed_gradient_matches_finite_differences(op64, quad):
         assert abs(fd - exact) <= 1e-5 * max(abs(exact), 1e-10)
 
 
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_value_and_grad_is_the_plain_formula(op256, quad, r):
+    # The in-place evaluation must give exactly the floats of the out-of-place
+    # formula written out here, the overflow return included, and leave v alone.
+    op = op256
+    u_true = make_truth("hoelder", op, p=1.0, cfg=quad)
+    rng = np.random.default_rng(8)
+    f_delta = add_noise(make_problem(op, u_true).f_true, NoiseSpec(0.05, "random_sign", 2))
+    prob = TikhonovProblem(
+        forward_problem=make_problem(op, u_true),
+        f_delta=f_delta,
+        delta=0.05,
+        u_bar_witness=GridFunction(rng.uniform(-1.0, 1.0, op.n)),
+        alpha=0.01,
+        r=r,
+    )
+    surrogate = SmoothedObjective(prob, (0.03, 0.01))
+
+    def soft_abs_max(z, temp):
+        m = float(np.max(np.abs(z)))
+        ep = np.exp((z - m) / temp)
+        en = np.exp((-z - m) / temp)
+        total = float(np.sum(ep) + np.sum(en))
+        return m + temp * np.log(total), (ep - en) / total
+
+    def adjoint(w):
+        tail = np.cumsum(w[::-1])[::-1]
+        out = op.h * tail - 0.5 * op.h * w
+        out[0] = 0.5 * op.h * (tail[0] - w[0])
+        return out
+
+    def plain(v):
+        with np.errstate(over="ignore"):
+            f = np.exp(prob.g_bar + op._apply_values(op._apply_values(v)))
+        if not np.all(np.isfinite(f)):
+            return np.inf, np.zeros_like(v)
+        s_res, w_res = soft_abs_max(f - prob.f_delta.values, surrogate.temp_res)
+        s_pen, w_pen = soft_abs_max(v, surrogate.temp_pen)
+        value = s_res**r + prob.alpha * s_pen**r
+        back = adjoint(adjoint(f * w_res))
+        return value, r * s_res ** (r - 1.0) * back + prob.alpha * r * s_pen ** (r - 1.0) * w_pen
+
+    overflow = np.full(op.n, 1e4)
+    assert plain(overflow)[0] == np.inf
+    for v in (*rng.uniform(-1.0, 1.0, (5, op.n)), overflow):
+        kept = v.copy()
+        value, grad = surrogate.value_and_grad(v)
+        want_value, want_grad = plain(v)
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)
+        assert np.array_equal(v, kept)
+
+
 def test_uncertified_error_pickle_round_trip(setup):
     # An error that crosses a process boundary is pickled; it must come back
     # with its message and the best point found.
