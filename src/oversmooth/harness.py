@@ -297,9 +297,6 @@ def _solve_all(study: _Study, tasks: list[tuple[int, int]]) -> list[tuple[tuple[
     if workers == 1:
         return [_solve_draw(study, i, j) for i, j in tasks]
     # Fork, not spawn: a spawned worker would import numpy, scipy and oversmooth anew.
-    # The shifted solves import scipy.signal lazily; import it once here, not once per worker.
-    import scipy.signal  # noqa: F401
-
     with ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),

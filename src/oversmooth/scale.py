@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .grids import GridFunction
 
@@ -237,18 +238,23 @@ class ScaleOperator:
         return GridFunction(self._solve_values(beta, f.values))
 
     def _solve_values(self, beta: float, f: np.ndarray) -> np.ndarray:
-        from scipy.signal import lfilter
-
+        # The recurrence for v_1..v_{n-1} is one unit lower-bidiagonal system,
+        # -rho below the diagonal, solved by LAPACK's banded triangular solve
+        # with one right-hand side per row; diag="U" never reads the diagonal
+        # row of the band.  The transpose of the C-ordered (k, n-1) right-hand
+        # side is the Fortran-ordered (n-1, k) array LAPACK takes, so it goes
+        # in without a copy and is overwritten by the solution.
         h2 = 0.5 * self.h
         d = beta + h2
-        rho = (beta - h2) / d
+        band = np.empty((2, self.n - 1))
+        band[1] = -(beta - h2) / d
         out = np.empty_like(f)
         first = f[..., 0] / beta
         out[..., 0] = first
         rhs = f[..., 1:] - f[..., :-1]
         rhs[..., 0] = f[..., 1] - h2 * first
         rhs /= d
-        out[..., 1:] = lfilter([1.0], [1.0, -rho], rhs)
+        out[..., 1:] = dtbtrs(band, rhs.T, uplo="L", diag="U", overwrite_b=True)[0].T
         return out
 
     # -- fractional powers ---------------------------------------------------
@@ -420,10 +426,10 @@ def riemann_liouville(p: float, u: GridFunction) -> GridFunction:
     its piecewise-linear interpolant, integrating the kernel exactly on every
     subinterval.  Independent of the resolvent-based route, which it serves to
     cross-check; exact for constant and linear u.  The two weight convolutions
-    run by FFT, in O(n log n).
+    run by numpy's real FFT at a power-of-two length >= 2n - 1, in O(n log n):
+    at that length they cannot wrap, and an odd length such as 2n - 1 would
+    take numpy's much slower path.
     """
-    from scipy.signal import fftconvolve
-
     if p <= 0.0:
         raise ValueError("fractional order must be positive")
     n = u.n
@@ -436,10 +442,14 @@ def riemann_liouville(p: float, u: GridFunction) -> GridFunction:
     a = i1 - (k[1:] - 1.0) * i0  # weight on the left node of each subinterval
     b = k[1:] * i0 - i1  # weight on the right node
     vals = u.values
-    left = fftconvolve(np.concatenate([[0.0], a]), vals)[:n]
-    right = fftconvolve(np.concatenate([[0.0], b]), vals[1:])[1:n]
-    out = left
-    out[1:] += right
+    size = 1 << (2 * n - 2).bit_length()  # the least power of two >= 2n - 1
+    fft = functools.partial(np.fft.rfft, n=size)
+    # Both weight sequences start with a zero, so entry 0 of the right-node
+    # convolution is 0 and its entry i pairs b with u_1..u_i: one inverse
+    # transform returns the sum of both.
+    left = fft(np.concatenate([[0.0], a])) * fft(vals)
+    right = fft(np.concatenate([[0.0], b])) * fft(vals[1:])
+    out = np.fft.irfft(left + right, size)[:n]
     out *= h**p / math.gamma(p)
     out[0] = 0.0
     return GridFunction(out)

@@ -158,6 +158,30 @@ def test_shifted_solve_paths_agree(n, q, quad):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def forward_substitution(op, beta, f):
+    # Row i >= 1 of (G + beta I) v = f reads
+    # h/2 v_0 + h (v_1 + ... + v_{i-1}) + (h/2 + beta) v_i = f_i; row 0 is beta v_0 = f_0.
+    h = op.h
+    v = [f[0] / beta]
+    inner = 0.0
+    for i in range(1, len(f)):
+        v.append((f[i] - 0.5 * h * v[0] - h * inner) / (0.5 * h + beta))
+        inner += v[i]
+    return np.array(v)
+
+
+@pytest.mark.parametrize("beta", [1e-6, 1e-3, 0.1, 1.0])
+@pytest.mark.parametrize("n", [64, 1025])
+def test_solve_matches_forward_substitution(n, beta):
+    # rho = (beta - h/2)/(beta + h/2) runs from near -1 through near 0 to near +1
+    # over these shifts; a (7, n) block and a single row go through the same solve.
+    op = ScaleOperator(n)
+    block = np.random.default_rng(n).uniform(-1.0, 1.0, (7, n))
+    for got, f in [*zip(op._solve_values(beta, block), block), (op._solve_values(beta, block[0]), block[0])]:
+        ref = forward_substitution(op, beta, f)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_resolvent_norm_bound_random():
     # Sampled positive-type bound ||(G + beta)^-1 f|| <= kappa_*/beta.
     rng = np.random.default_rng(11)
@@ -266,6 +290,25 @@ def test_riemann_liouville_exact_on_linear():
     for p in (0.25, 0.75):
         out = riemann_liouville(p, GridFunction(x))
         assert np.max(np.abs(out.values - x ** (p + 1.0) / math.gamma(2.0 + p))) < 1e-12
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.7])
+@pytest.mark.parametrize("n", [65, 200, 257])
+def test_riemann_liouville_matches_direct_convolution(n, p):
+    # Product integration written out: on [x_j, x_{j+1}] the kernel integrates
+    # exactly against the linear interpolant, which puts weight a_k on u_j and
+    # b_k on u_{j+1} in output i = j + k.
+    u = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    k = np.arange(1, n, dtype=float)
+    i0 = (k**p - (k - 1.0) ** p) / p
+    i1 = (k ** (p + 1.0) - (k - 1.0) ** (p + 1.0)) / (p + 1.0)
+    a = i1 - (k - 1.0) * i0
+    b = k * i0 - i1
+    ref = np.zeros(n)
+    ref[1:] = np.convolve(a, u)[: n - 1] + np.convolve(b, u[1:])[: n - 1]
+    ref *= (1.0 / (n - 1)) ** p / math.gamma(p)
+    got = riemann_liouville(p, GridFunction(u)).values
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_power_of_half_constant_interior(op256, quad):
