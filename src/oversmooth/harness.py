@@ -220,8 +220,9 @@ _CGROUP_CFS_PERIOD = Path("/sys/fs/cgroup/cpu/cpu.cfs_period_us")
 def _bundled_blas_setters() -> tuple[Callable[[int], None], ...]:
     """The thread-count setters of numpy's and scipy's bundled OpenBLAS; empty unless both are found.
 
-    scipy's BLAS runs L-BFGS-B; no matrix product of numpy's runs in a solve.
-    A pool worker still holds both to one thread: on a 2-CPU host with no
+    scipy's BLAS runs L-BFGS-B and, under LAPACK's banded solve ``dtbtrs``,
+    every shifted solve; no matrix product of numpy's runs in a solve.  A pool
+    worker still holds both to one thread: on a 2-CPU host with no
     thread variables set, workers that held neither made the default p=0.5
     study about 8 times slower in the median (25.0-59.8 s against 3.9-5.6 s,
     five runs each), with byte-identical reports.

@@ -2,7 +2,9 @@
 
 The running-integral operator u -> int_0^x u, discretized with composite
 trapezoid weights, is lower triangular with diagonal h/2 (first row zero), so
-shifted systems (G + beta I) v = f solve in O(n) by forward substitution.  On
+shifted systems (G + beta I) v = f solve in O(n) by forward substitution;
+differenced, that substitution is one unit lower-bidiagonal system, which
+LAPACK's banded triangular solve takes for a whole block at once.  On
 the grid the operator is of positive type with constant kappa_* = 2, i.e.
 ||(G + beta I)^-1|| <= 2/beta in the sup operator norm for every beta > 0.
 
@@ -18,8 +20,8 @@ of G.  Because every shifted solve is the same first-order recurrence, the
 whole trapezoid sum is one causal convolution kernel per (n, q, quadrature):
 it is built in O(K) memory for K nodes, cached, and applied by FFT.  A
 product-integration discretization of the Riemann-Liouville integral, its
-two weight convolutions also done by FFT, is provided as an independent
-cross-check route.
+two weight convolutions also done by numpy's FFT, is provided as an
+independent cross-check route.
 
 The private value-level primitives (``_apply_values``, ``_solve_values`` and
 ``_balakrishnan``) act along the last axis: they take one vector, or a (k, n)
@@ -230,7 +232,10 @@ class ScaleOperator:
         forward substitution into the stable first-order recurrence
 
             v_{i+1} = rho v_i + (f_{i+1} - f_i)/(beta + h/2),
-            rho = (beta - h/2)/(beta + h/2),   |rho| < 1.
+            rho = (beta - h/2)/(beta + h/2),   |rho| < 1,
+
+        a unit lower-bidiagonal system for v_1..v_{n-1} with -rho below the
+        diagonal, which ``_solve_values`` hands to LAPACK's banded solve.
         """
         if beta <= 0.0:
             raise ValueError("shift beta must be positive")
