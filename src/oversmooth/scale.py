@@ -243,23 +243,29 @@ class ScaleOperator:
         return GridFunction(self._solve_values(beta, f.values))
 
     def _solve_values(self, beta: float, f: np.ndarray) -> np.ndarray:
-        # The recurrence for v_1..v_{n-1} is one unit lower-bidiagonal system,
-        # -rho below the diagonal, solved by LAPACK's banded triangular solve
-        # with one right-hand side per row; diag="U" never reads the diagonal
-        # row of the band.  The transpose of the C-ordered (k, n-1) right-hand
-        # side is the Fortran-ordered (n-1, k) array LAPACK takes, so it goes
-        # in without a copy and is overwritten by the solution.
+        """``solve_shifted`` along the last axis: one LAPACK banded solve (``dtbtrs``) for all rows.
+
+        Each row is one right-hand side.  The unit lower-bidiagonal system goes
+        in as the transpose (trans="T") of its unit upper-bidiagonal band, -rho
+        in the superdiagonal row; that form takes each step as one product and
+        one difference, the recurrence's own rounding, where the lower form's
+        update kernel may fuse them.  With diag="U" LAPACK never reads the
+        diagonal row and cannot report a singular system.  The transpose of
+        the C-ordered (k, n-1) right-hand side is the Fortran-ordered (n-1, k)
+        array LAPACK takes, so it goes in without a copy and is overwritten by
+        the solution.
+        """
         h2 = 0.5 * self.h
         d = beta + h2
         band = np.empty((2, self.n - 1))
-        band[1] = -(beta - h2) / d
+        band[0] = -(beta - h2) / d
         out = np.empty_like(f)
         first = f[..., 0] / beta
         out[..., 0] = first
         rhs = f[..., 1:] - f[..., :-1]
         rhs[..., 0] = f[..., 1] - h2 * first
         rhs /= d
-        out[..., 1:] = dtbtrs(band, rhs.T, uplo="L", diag="U", overwrite_b=True)[0].T
+        out[..., 1:] = dtbtrs(band, rhs.T, uplo="U", trans="T", diag="U", overwrite_b=True)[0].T
         return out
 
     # -- fractional powers ---------------------------------------------------

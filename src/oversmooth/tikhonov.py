@@ -189,9 +189,9 @@ def _soft_abs_max(z: np.ndarray, temp: float) -> tuple[float, np.ndarray]:
 def _forward(prob: TikhonovProblem, v: np.ndarray) -> np.ndarray:
     """F(u_bar + G v) = exp(g_bar + G G v) as values; entries that overflow are inf."""
     op = prob.forward_problem.op
-    x = op._apply_values(op._apply_values(v))
-    x += prob.g_bar
     with np.errstate(over="ignore"):
+        x = op._apply_values(op._apply_values(v))
+        x += prob.g_bar
         return np.exp(x, out=x)
 
 
