@@ -232,10 +232,7 @@ class ScaleOperator:
         forward substitution into the stable first-order recurrence
 
             v_{i+1} = rho v_i + (f_{i+1} - f_i)/(beta + h/2),
-            rho = (beta - h/2)/(beta + h/2),   |rho| < 1,
-
-        a unit lower-bidiagonal system for v_1..v_{n-1} with -rho below the
-        diagonal, which ``_solve_values`` hands to LAPACK's banded solve.
+            rho = (beta - h/2)/(beta + h/2),   |rho| < 1.
         """
         if beta <= 0.0:
             raise ValueError("shift beta must be positive")
@@ -245,15 +242,13 @@ class ScaleOperator:
     def _solve_values(self, beta: float, f: np.ndarray) -> np.ndarray:
         """``solve_shifted`` along the last axis: one LAPACK banded solve (``dtbtrs``) for all rows.
 
-        Each row is one right-hand side.  The unit lower-bidiagonal system goes
-        in as the transpose (trans="T") of its unit upper-bidiagonal band, -rho
-        in the superdiagonal row; that form takes each step as one product and
-        one difference, the recurrence's own rounding, where the lower form's
-        update kernel may fuse them.  With diag="U" LAPACK never reads the
-        diagonal row and cannot report a singular system.  The transpose of
-        the C-ordered (k, n-1) right-hand side is the Fortran-ordered (n-1, k)
-        array LAPACK takes, so it goes in without a copy and is overwritten by
-        the solution.
+        The recurrence for v_1..v_{n-1} is a unit lower-bidiagonal system, -rho
+        below the diagonal, with one right-hand side per row.  It goes in as the
+        transpose (trans="T") of its upper band, which rounds each step as the
+        recurrence does (the lower form's update kernel may fuse the multiply
+        and add).  With diag="U" LAPACK never reads the diagonal row and cannot
+        report a singular system.  The transposed C-ordered (k, n-1) right-hand
+        side is the Fortran-ordered array LAPACK takes: no copy, overwritten.
         """
         h2 = 0.5 * self.h
         d = beta + h2

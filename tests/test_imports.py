@@ -27,7 +27,7 @@ print(sorted(name for name in sys.modules if name.split(".")[:2] == ["scipy", "s
 
 
 def test_package_never_imports_scipy_signal():
-    # scipy.signal costs about 0.7 s and 27 MB in every process that loads it.
+    # Importing scipy.signal costs about 0.8 s and 25 MB in every process (BENCH_setup.json).
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -242,11 +242,11 @@ def test_value_and_grad_is_the_plain_formula(op256, quad, r):
     # formula written out here, the overflow return included, and leave v alone.
     op = op256
     u_true = make_truth("hoelder", op, p=1.0, cfg=quad)
+    problem = make_problem(op, u_true)
     rng = np.random.default_rng(8)
-    f_delta = add_noise(make_problem(op, u_true).f_true, NoiseSpec(0.05, "random_sign", 2))
     prob = TikhonovProblem(
-        forward_problem=make_problem(op, u_true),
-        f_delta=f_delta,
+        forward_problem=problem,
+        f_delta=add_noise(problem.f_true, NoiseSpec(0.05, "random_sign", 2)),
         delta=0.05,
         u_bar_witness=GridFunction(rng.uniform(-1.0, 1.0, op.n)),
         alpha=0.01,
