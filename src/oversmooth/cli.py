@@ -7,7 +7,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .harness import REGIME_NAMES, SUITE_NAMES, CheckResult, ExperimentConfig, config_file_values, run_suite
+from .harness import REGIME_NAMES, SUITE_NAMES, CheckResult, ExperimentConfig, parse_config_file, run_suite
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -47,21 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The config file's values overridden by the flags, validated together once.
-
-    An invalid result names the config file, unless the flags alone are invalid.
-    """
+    """The config file's values overridden by the flags, validated together once."""
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     flags = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     if "regime" in flags:
         flags["regime"] = REGIME_NAMES[flags["regime"]]
     if args.config is None:
         return ExperimentConfig(**flags)
-    try:
-        return ExperimentConfig(**{**config_file_values(args.config), **flags})
-    except ValueError as exc:
-        ExperimentConfig(**flags)  # flags invalid on their own raise here, without the file's name
-        raise ValueError(f"{args.config}: {exc}") from None
+    return parse_config_file(args.config, flags)
 
 
 def _emit(results: list[CheckResult], out_dir: Path | None) -> int:

@@ -88,6 +88,9 @@ class ExperimentConfig:
     max_iter: int = 300
 
     def __post_init__(self) -> None:
+        for name in ("p", "r", "a", "c_alpha", "slope_tolerance", "bounded_ratio_limit"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be at least 1")
         if self.grid_n < 64:
@@ -101,10 +104,13 @@ class ExperimentConfig:
         deltas = tuple(float(d) for d in self.delta_list)
         if not deltas:
             raise ValueError("delta_list needs at least one noise level")
-        if any(d <= 0.0 for d in deltas):
-            raise ValueError("noise levels must be positive")
+        if not all(math.isfinite(d) and d > 0.0 for d in deltas):
+            raise ValueError("noise levels must be positive and finite")
         if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
             raise ValueError("noise levels must be strictly decreasing")
+        if self.regime == "low_order" and deltas[0] >= 1.0:
+            # The low-order statistic error * log(1/delta) needs log(1/delta) > 0.
+            raise ValueError("low-order noise levels must be below 1")
         object.__setattr__(self, "delta_list", deltas)
         # Build the quadrature, alpha rule and noise spec of a study: bad fields fail here, not mid-run.
         self.quadrature()
@@ -154,18 +160,7 @@ class RateReport:
         )
 
     def to_json(self) -> str:
-        payload = {
-            "config": dataclasses.asdict(self.config),
-            "rows": [dataclasses.asdict(r) for r in self.rows],
-            "fitted_slope": self.fitted_slope,
-            "expected_slope": self.expected_slope,
-            "slope_tolerance": self.slope_tolerance,
-            "statistic": self.statistic,
-            "passed": self.passed,
-            "timestamp": self.timestamp,
-            "version": self.version,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -201,9 +196,8 @@ def _solve_draw(study: _Study, i: int, j: int) -> tuple[tuple[float, float, floa
     return ((res.u_min - study.u_true).sup_norm(), res.residual, res.penalty), res.certified
 
 
-#: The thread-count setters exported by the OpenBLAS builds bundled in the
-#: numpy (64-bit integer interface) and scipy wheels.
-_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+#: The thread-count setter exported by the OpenBLAS build bundled in the scipy wheel.
+_OPENBLAS_SETTER = "scipy_openblas_set_num_threads"
 
 #: The per-library thread variables of OpenBLAS, MKL and BLIS; each library
 #: reads its own first and falls back to OMP_NUM_THREADS.
@@ -218,23 +212,20 @@ _CGROUP_CFS_PERIOD = Path("/sys/fs/cgroup/cpu/cpu.cfs_period_us")
 
 @functools.cache
 def _bundled_blas_setters() -> tuple[Callable[[int], None], ...]:
-    """The thread-count setters of numpy's and scipy's bundled OpenBLAS; empty unless both are found.
+    """The thread-count setter of scipy's bundled OpenBLAS, as a tuple; empty when it is not found.
 
     scipy's BLAS runs L-BFGS-B and, under LAPACK's banded solve ``dtbtrs``,
-    every shifted solve; no matrix product of numpy's runs in a solve.  A pool
-    worker still holds both to one thread: on a 2-CPU host with no
-    thread variables set, workers that held neither made the default p=0.5
-    study about 8 times slower in the median (25.0-59.8 s against 3.9-5.6 s,
-    five runs each), with byte-identical reports.
+    every shifted solve, so a pool worker holds it to one thread: on a 2-CPU
+    host with no thread variables set, workers that held no BLAS made the
+    default p=0.5 study about 8 times slower in the median (25.0-59.8 s
+    against 3.9-5.6 s, five runs each), with byte-identical reports.  numpy's
+    BLAS runs no product in a solve and is left alone: holding it to one
+    thread as well moved that study's time by less than its run-to-run spread
+    (3.38-4.36 s against 3.32-4.04 s, six runs each).
     """
-    setters: list = []
-    for pkg in (np, scipy):
-        libs = Path(pkg.__file__).parent.with_name(f"{pkg.__name__}.libs").glob("libscipy_openblas*.so")
-        found = [getattr(ctypes.CDLL(str(lib)), name, None) for lib in libs for name in _OPENBLAS_SETTERS]
-        found = [setter for setter in found if setter is not None]
-        if not found:
-            return ()
-        setters += found
+    libs = Path(scipy.__file__).parent.with_name("scipy.libs").glob("libscipy_openblas*.so")
+    setters = [getattr(ctypes.CDLL(str(lib)), _OPENBLAS_SETTER, None) for lib in libs]
+    setters = [setter for setter in setters if setter is not None]
     for setter in setters:
         setter.argtypes, setter.restype = [ctypes.c_int], None
     return tuple(setters)
@@ -264,9 +255,10 @@ def _worker_count(n_tasks: int) -> int:
     """Processes to solve n_tasks independent solves on: one per usable CPU, at most one per task.
 
     Usable CPUs are the affinity mask cut to the cgroup CPU quota.  The count
-    is 1 (no pool) off Linux, and when a worker could not hold its BLAS to one
-    thread: neither the bundled OpenBLAS setters nor the thread variables do
-    it, and uncapped BLAS threads of several workers fight over the cores.
+    is 1 (no pool) off Linux, and when a worker could not hold scipy's BLAS to
+    one thread: neither the setter of scipy's bundled OpenBLAS nor the thread
+    variables do it, and uncapped BLAS threads of several workers fight over
+    the cores.
     """
     if not hasattr(os, "sched_getaffinity"):
         return 1
@@ -327,15 +319,15 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     The (level, draw) solves are independent, so on Linux they run on a pool
     of forked worker processes, one per CPU this process may use (its
     affinity mask cut to its cgroup CPU quota, at most one per solve), each
-    with a single BLAS thread.  They run in this process instead when there
-    is one worker, or when the BLAS cannot be held to one thread per worker:
-    the numpy and scipy wheels' bundled OpenBLAS can be, and any BLAS can be
-    through OMP_NUM_THREADS=1 (with OPENBLAS_, MKL_ and BLIS_NUM_THREADS
-    unset or 1).  The quota is read from the cgroup files a container sees as
-    its own; a quota set on an ancestor cgroup is not seen.  Results are
-    collected in submission order, so the report is byte-identical whatever
-    the worker count.  An exception from a solve, such as a
-    ``QuadratureError``, reaches the caller with its type.
+    with scipy's BLAS, which the solves run on, held to one thread.  They run
+    in this process instead when there is one worker, or when that BLAS cannot
+    be held to one thread per worker: the scipy wheel's bundled OpenBLAS can
+    be, and any BLAS can be through OMP_NUM_THREADS=1 (with OPENBLAS_, MKL_
+    and BLIS_NUM_THREADS unset or 1).  The quota is read from the cgroup
+    files a container sees as its own; a quota set on an ancestor cgroup is
+    not seen.  Results are collected in submission order, so the report is
+    byte-identical whatever the worker count.  An exception from a solve,
+    such as a ``QuadratureError``, reaches the caller with its type.
     """
     quad = cfg.quadrature()
     op = ScaleOperator(cfg.grid_n)
@@ -554,21 +546,24 @@ def run_suite(names: Sequence[str], cfg: ExperimentConfig | None = None) -> list
 # -- config files -----------------------------------------------------------------
 
 
-def parse_config_file(path: str | Path, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def parse_config_file(path: str | Path, overrides: dict[str, object] | None = None) -> ExperimentConfig:
     """Read a key = value text file of ExperimentConfig fields, each parsed as its annotated type.
 
     ``delta_list`` is comma separated, and ``regime`` also takes the CLI spellings of ``REGIME_NAMES``.
+    The ``overrides`` fields replace the file's, and the result is validated once; an invalid
+    result names the file, unless the overrides alone are invalid.
     """
-    base = base if base is not None else ExperimentConfig()
-    overrides = config_file_values(path)
+    overrides = overrides or {}
+    values = {**_config_file_values(path), **overrides}
     try:
-        return dataclasses.replace(base, **overrides)
+        return ExperimentConfig(**values)
     except ValueError as exc:
+        ExperimentConfig(**overrides)  # overrides invalid on their own raise here, without the file's name
         raise ValueError(f"{path}: {exc}") from None
 
 
-def config_file_values(path: str | Path) -> dict[str, object]:
-    """The fields a config file sets, parsed as in ``parse_config_file`` but not yet validated together."""
+def _config_file_values(path: str | Path) -> dict[str, object]:
+    """The fields a config file sets, each parsed as its annotated type but not yet validated together."""
     parsers = {
         **get_type_hints(ExperimentConfig),
         "delta_list": lambda value: tuple(float(tok) for tok in value.split(",") if tok.strip()),

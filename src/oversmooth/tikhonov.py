@@ -230,26 +230,6 @@ class SmoothedObjective:
         return value, grad
 
 
-def _descend(prob: TikhonovProblem, v0: np.ndarray, max_iter: int) -> list[np.ndarray]:
-    """Anneal the surrogate temperature and descend with L-BFGS; returns iterates."""
-    out = []
-    v = np.array(v0)
-    for rel in ANNEAL_TEMPS:
-        _, residual, penalty = _evaluate(prob, v)
-        floor = 1e-12
-        temps = (rel * max(residual, floor), rel * max(penalty, floor, 1e-3 * residual))
-        sol = _lbfgs(
-            SmoothedObjective(prob, temps).value_and_grad,
-            v,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": max_iter, "ftol": 1e-16, "gtol": 1e-12, "maxcor": 20},
-        )
-        v = sol.x
-        out.append(np.array(v))
-    return out
-
-
 def minimize(
     prob: TikhonovProblem,
     fam: RegularizerFamily,
@@ -261,23 +241,36 @@ def minimize(
     """Certified approximate minimization of T over the witness slice.
 
     The descent is anchored at the auxiliary-element witness for
-    beta = alpha^kappa, the comparison point the error analysis is built on;
-    one annealing sweep runs from it, and the result is the true-T argmin over
-    the raw anchor and the sweep's iterates (so its objective never exceeds
-    the certificate bound).  Every candidate is scored once by ``_evaluate``,
-    the same evaluator behind ``objective``; the anchor's score is the
-    certificate bound.  The solve is deterministic: ``seed`` is accepted for
-    call compatibility and unused.
+    beta = alpha^kappa, the comparison point the error analysis is built on.
+    One annealing sweep runs from it: each stage descends the surrogate by
+    L-BFGS from the previous candidate, at temperatures relative to that
+    candidate's residual and penalty.  Every candidate (the anchor and each
+    stage's iterate) is scored once by ``_evaluate``, the same evaluator
+    behind ``objective``; the anchor's score is the certificate bound, and
+    the result is the argmin of the scores, so its objective never exceeds
+    the bound.  The solve is deterministic: ``seed`` is accepted for call
+    compatibility and unused.
     """
     kap = coupling_exponent(prob.r, prob.a)
     beta = prob.alpha**kap
     aux = auxiliary_element(fam, beta, u_true_for_certificate, prob.u_bar_witness, prob.a, cfg)
 
     anchor = np.array(aux.witness.values)
-    chain = [anchor, *_descend(prob, anchor, max_iter)]
-    scores = [_evaluate(prob, v) for v in chain]
-    bound = scores[0][0]
-    (obj, residual, penalty), best_v = min(zip(scores, chain), key=lambda sv: sv[0][0])
+    scored = [(_evaluate(prob, anchor), anchor)]
+    for rel in ANNEAL_TEMPS:
+        (_, residual, penalty), v = scored[-1]
+        floor = 1e-12
+        temps = (rel * max(residual, floor), rel * max(penalty, floor, 1e-3 * residual))
+        sol = _lbfgs(
+            SmoothedObjective(prob, temps).value_and_grad,
+            v,
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": max_iter, "ftol": 1e-16, "gtol": 1e-12, "maxcor": 20},
+        )
+        scored.append((_evaluate(prob, sol.x), sol.x))
+    bound = scored[0][0][0]
+    (obj, residual, penalty), best_v = min(scored, key=lambda sv: sv[0][0])
     certified = obj <= bound * (1.0 + CERTIFICATE_RTOL)
     result = MinimizeResult(
         u_min=GridFunction(prob.u_bar.values + prob.forward_problem.op._apply_values(best_v)),

@@ -178,6 +178,16 @@ BAD_CONFIG_LINES = {
     "r = 0": "exponents r and a must be positive",
     "a = -0.5": "exponents r and a must be positive",
     "noise_kind = foo": "unknown noise kind: 'foo'",
+    "p = nan": "p must be finite",
+    "r = inf": "r must be finite",
+    "a = nan": "a must be finite",
+    "c_alpha = nan": "c_alpha must be finite",
+    "slope_tolerance = nan": "slope_tolerance must be finite",
+    "bounded_ratio_limit = inf": "bounded_ratio_limit must be finite",
+    "delta_list = nan": "noise levels must be positive and finite",
+    "delta_list = inf, 0.1": "noise levels must be positive and finite",
+    "regime = low_order\ndelta_list = 1.0, 0.1, 0.01": "low-order noise levels must be below 1",
+    "regime = low_order\ndelta_list = 2.0": "low-order noise levels must be below 1",
 }
 
 
@@ -288,7 +298,7 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "B
 @pytest.mark.parametrize(
     "setters, env, quota, n_tasks, expected",
     [
-        ((print,), {}, None, 16, 4),  # bundled OpenBLAS capped in each worker
+        ((print,), {}, None, 16, 4),  # scipy's bundled OpenBLAS capped in each worker
         ((print,), {}, None, 3, 3),  # at most one worker per task
         ((print,), {}, 2, 16, 2),  # cgroup quota below the affinity mask
         ((print,), {}, None, 1, 1),
@@ -337,11 +347,10 @@ def test_quota_cpus_reads_cgroup_files(monkeypatch, tmp_path, cpu_max, cfs, expe
 
 def _bundled_blas_threads() -> list[int]:
     threads = []
-    for pkg, name in ((np, "scipy_openblas_get_num_threads64_"), (scipy, "scipy_openblas_get_num_threads")):
-        for lib in Path(pkg.__file__).parent.with_name(f"{pkg.__name__}.libs").glob("libscipy_openblas*.so"):
-            getter = getattr(ctypes.CDLL(str(lib)), name)
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            threads.append(getter())
+    for lib in Path(scipy.__file__).parent.with_name("scipy.libs").glob("libscipy_openblas*.so"):
+        getter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads")
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        threads.append(getter())
     return threads
 
 
@@ -349,16 +358,16 @@ def _blas_threads_draw(study, i, j):
     return (float(max(_bundled_blas_threads())), float(os.getpid()), 0.0), True
 
 
-@pytest.mark.skipif(not harness._bundled_blas_setters(), reason="numpy or scipy has no bundled OpenBLAS")
+@pytest.mark.skipif(not harness._bundled_blas_setters(), reason="scipy has no bundled OpenBLAS")
 def test_pool_workers_run_one_blas_thread(monkeypatch):
-    # Each worker holds numpy's and scipy's OpenBLAS to one thread; the caller's are untouched.
+    # Each worker holds scipy's OpenBLAS to one thread; the caller's is untouched.
     before = _bundled_blas_threads()
     force_workers(monkeypatch, 2)
     monkeypatch.setattr(harness, "_solve_draw", _blas_threads_draw)
     report = run_rate_study(fast_config())
     assert [row.error_sup for row in report.rows] == [1.0] * 4
     assert os.getpid() not in {row.residual for row in report.rows}
-    assert len(before) == 2 and _bundled_blas_threads() == before
+    assert len(before) == 1 and _bundled_blas_threads() == before
 
 
 def test_rate_study_beta_column(study_hoelder_p1):

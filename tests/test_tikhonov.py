@@ -18,7 +18,8 @@ from oversmooth import (
     minimize,
     objective,
 )
-from oversmooth.tikhonov import SmoothedObjective
+from oversmooth import tikhonov
+from oversmooth.tikhonov import ANNEAL_TEMPS, SmoothedObjective
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +196,17 @@ def test_minimize_penalty_dominates_for_large_alpha(setup):
     assert res.penalty <= 1e-6
     assert res.objective <= t_guess * (1.0 + 1e-6)
     assert (res.u_min - u_bar).sup_norm() <= 1e-6
+
+
+def test_minimize_scores_each_candidate_once(setup, monkeypatch):
+    # The candidates are the anchor and one iterate per annealing stage.
+    problem, fam, u_true = setup
+    prob = make_prob(problem, 1e-2, 1e-2, seed=6)
+    calls = []
+    evaluate = tikhonov._evaluate
+    monkeypatch.setattr(tikhonov, "_evaluate", lambda prob, v: calls.append(1) or evaluate(prob, v))
+    minimize(prob, fam, u_true, max_iter=20)
+    assert len(calls) == 1 + len(ANNEAL_TEMPS)
 
 
 def test_minimize_deterministic(setup):
