@@ -8,7 +8,9 @@ reconstruction errors: a fitted log-log slope for the Hoelder regime, a
 boundedness statistic error * log(1/delta) for the low-order regime, and a
 monotone-decrease check when no smoothness is constructed.  Reports freeze
 to CSV and JSON; identical configuration and seeds give byte-identical output
-(the JSON timestamp is injectable for that purpose).
+(the JSON timestamp is injectable for that purpose).  The verification suites
+check the operator tools the rates rest on; on large grids the four operator
+suites run on the same worker pool.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, get_type_hints
+from typing import Callable, Iterable, Sequence, TypeVar, get_type_hints
 
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, scale
 from .exp_volterra import ExpVolterraProblem, NoiseSpec, add_noise, make_problem, make_truth, nonlinearity_check
 from .fitting import NOISE_FLOOR, SlopeFit, fit_slope
 from .grids import GridFunction, csv_table
@@ -56,6 +58,9 @@ __all__ = [
     "SUITE_NAMES",
     "parse_config_file",
 ]
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 #: The CLI's regime spellings -> ``ExperimentConfig.regime``; config files accept both forms.
@@ -252,7 +257,7 @@ def _quota_cpus() -> int | None:
 
 
 def _worker_count(n_tasks: int) -> int:
-    """Processes to solve n_tasks independent solves on: one per usable CPU, at most one per task.
+    """Processes to run n_tasks independent tasks on: one per usable CPU, at most one per task.
 
     Usable CPUs are the affinity mask cut to the cgroup CPU quota.  The count
     is 1 (no pool) off Linux, and when a worker could not hold scipy's BLAS to
@@ -269,34 +274,51 @@ def _worker_count(n_tasks: int) -> int:
     return workers
 
 
-#: The study a pool worker solves draws of; set only inside pool workers, by ``_start_worker``.
-_worker_study: _Study | None = None
+#: The function a pool worker maps its tasks through; set only inside pool workers, by ``_start_pool_worker``.
+_pool_fn: Callable | None = None
 
 
-def _start_worker(study: _Study) -> None:
-    global _worker_study
-    _worker_study = study
+def _start_pool_worker(fn: Callable) -> None:
+    global _pool_fn
+    _pool_fn = fn
     for setter in _bundled_blas_setters():
         setter(1)
 
 
-def _solve_in_worker(task: tuple[int, int]) -> tuple[tuple[float, float, float], bool]:
-    return _solve_draw(_worker_study, *task)
+def _pool_task(task: object) -> tuple[object, dict]:
+    """``_pool_fn(task)`` and the fractional-power kernels it built, for the caller's cache."""
+    known = set(scale._kernels)
+    result = _pool_fn(task)
+    return result, {key: kernel for key, kernel in scale._kernels.items() if key not in known}
 
 
-def _solve_all(study: _Study, tasks: list[tuple[int, int]]) -> list[tuple[tuple[float, float, float], bool]]:
-    """``_solve_draw`` over the (level, draw) tasks, in task order, on ``_worker_count`` processes."""
+def _pool_map(fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
+    """``[fn(task) for task in tasks]``, on ``_worker_count(len(tasks))`` forked worker processes.
+
+    Each worker holds scipy's bundled OpenBLAS to one thread.  Results come
+    back in task order whatever order the workers finish in, and an exception
+    raised by ``fn`` in a worker reaches the caller with its type.  With one
+    worker the tasks run in this process, one after another.  Every task
+    returns the fractional-power kernels it built (``scale._kernels``) along
+    with its result; they join this process's cache, so the workers of its
+    next pool inherit them by fork instead of building them again.  Pool
+    workers cannot start pools of their own, so ``fn`` must not call this.
+    """
     workers = _worker_count(len(tasks))
-    if workers == 1:
-        return [_solve_draw(study, i, j) for i, j in tasks]
-    # Fork, not spawn: a spawned worker would import numpy, scipy and oversmooth anew.
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    # Fork, not spawn: a spawned worker would import numpy, scipy and oversmooth
+    # anew, and could not take fn when it is a closure.
     with ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(study,),
+        initializer=_start_pool_worker,
+        initargs=(fn,),
     ) as pool:
-        return list(pool.map(_solve_in_worker, tasks))
+        done = list(pool.map(_pool_task, tasks))
+    for _, built in done:
+        scale._remember_kernels(built)
+    return [result for result, _ in done]
 
 
 def _bounded_ratio(points: Iterable[tuple[float, float]]) -> float:
@@ -327,7 +349,10 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     files a container sees as its own; a quota set on an ancestor cgroup is
     not seen.  Results are collected in submission order, so the report is
     byte-identical whatever the worker count.  An exception from a solve,
-    such as a ``QuadratureError``, reaches the caller with its type.
+    such as a ``QuadratureError``, reaches the caller with its type.  The
+    pool is ``_pool_map``'s, and a pool worker cannot start one, so the study
+    never runs in a worker: ``run_suite`` runs it in the caller, after its
+    pooled suites.
     """
     quad = cfg.quadrature()
     op = ScaleOperator(cfg.grid_n)
@@ -338,7 +363,8 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     alphas = tuple(choose_alpha(pc, delta, cfg.r, cfg.a) for delta in cfg.delta_list)
     study = _Study(cfg, make_problem(op, u_true), RegularizerFamily(op, m=cfg.m), u_true, alphas, quad)
 
-    solved = _solve_all(study, [(i, j) for i in range(len(cfg.delta_list)) for j in range(cfg.n_seeds)])
+    tasks = [(i, j) for i in range(len(cfg.delta_list)) for j in range(cfg.n_seeds)]
+    solved = _pool_map(lambda task: _solve_draw(study, *task), tasks)
 
     kap = coupling_exponent(cfg.r, cfg.a)
     rows: list[RateRow] = []
@@ -369,8 +395,9 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     if cfg.regime == "hoelder":
         passed = fitted is not None and abs(fitted - expected) <= cfg.slope_tolerance
     elif cfg.regime == "low_order":
+        # Like the Hoelder fit, the check needs 3 levels: over one level the ratio is 1 whatever the error.
         statistic = _bounded_ratio((r.delta, r.error_sup) for r in certified)
-        passed = all(r.certified for r in rows) and statistic <= cfg.bounded_ratio_limit
+        passed = all(r.certified for r in rows) and len(certified) >= 3 and statistic <= cfg.bounded_ratio_limit
     else:
         errs = [r.error_sup for r in rows]
         passed = all(r.certified for r in rows) and all(
@@ -534,13 +561,26 @@ SUITE_NAMES: dict[str, Callable[[ExperimentConfig], CheckResult]] = {
 
 
 def run_suite(names: Sequence[str], cfg: ExperimentConfig | None = None) -> list[CheckResult]:
-    """Run the named verification suites (all of them when names is empty)."""
+    """Run the named verification suites (all of them when names is empty), results in the order named.
+
+    From grid size ``scale.SUITE_POOL_MIN_N`` on, the operator suites run
+    together on the worker pool of ``_pool_map``, one suite per task; below it
+    a fork costs more than it saves, and they run in this process.  Either way
+    the results are the same, byte for byte.  ``rate-study`` always runs in
+    this process, after the pooled suites: it pools its own solves, and pools
+    do not nest.
+    """
     cfg = cfg if cfg is not None else ExperimentConfig()
     picked = list(names) if names else list(SUITE_NAMES)
     unknown = [n for n in picked if n not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suite name(s): {', '.join(unknown)}")
-    return [SUITE_NAMES[n](cfg) for n in picked]
+
+    def pooled(name: str) -> bool:
+        return name != "rate-study" and cfg.grid_n >= scale.SUITE_POOL_MIN_N
+
+    done = iter(_pool_map(lambda name: SUITE_NAMES[name](cfg), [n for n in picked if pooled(n)]))
+    return [next(done) if pooled(n) else SUITE_NAMES[n](cfg) for n in picked]
 
 
 # -- config files -----------------------------------------------------------------

@@ -116,6 +116,14 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 #: n=4097 are 256 KB, small enough to stay in cache through a chain of solves.
 ROW_BLOCK = 8
 
+#: Grid size from which ``harness.run_suite`` runs the four operator suites on
+#: the worker pool.  The fork's break-even moves with host load: on 2 CPUs with
+#: warm kernels it lay between n=1025 (pooled 186 ms against 148 ms serial, the
+#: median of 11 interleaved pairs) and n=1281 (131 against 165 ms) in one batch,
+#: and near n=256 in quieter ones.  The threshold sits at the higher one, so no
+#: batch measured the pool slower above it (BENCH_operators.json).
+SUITE_POOL_MIN_N = 1153
+
 
 def split_order(p: float) -> tuple[int, float]:
     """Split an order p >= 0 into its integer part k and fractional residue q = p - k.
@@ -128,10 +136,37 @@ def split_order(p: float) -> tuple[int, float]:
     return k, (0.0 if q < 1e-9 else q)
 
 
-# One suite pass at a single grid size uses about 20 kernels (the log-class
-# q-grid plus the Hoelder orders); each holds n complex values, 64 KB at n=4097.
-@functools.lru_cache(maxsize=64)
+#: The order-q kernels built so far, keyed (n, q, cfg), least recently used
+#: first.  One suite pass at a single grid size uses about 20 kernels (the
+#: log-class q-grid plus the Hoelder orders); each holds n complex values, 64 KB
+#: at n=4097.  Every array is read-only because every caller shares it.  A pool
+#: worker hands the kernels it built back with its result
+#: (``harness._pool_map``), so the caller's next pool inherits them by fork.
+_kernels: dict[tuple[int, float, QuadratureConfig], np.ndarray] = {}
+_KERNEL_CACHE_SIZE = 64
+
+
+def _remember_kernels(built: dict[tuple[int, float, QuadratureConfig], np.ndarray]) -> None:
+    """Add kernels to the cache, read-only, dropping the least recently used beyond its size."""
+    for key, spectrum in built.items():
+        spectrum.setflags(write=False)
+        _kernels.pop(key, None)
+        _kernels[key] = spectrum
+    while len(_kernels) > _KERNEL_CACHE_SIZE:
+        del _kernels[next(iter(_kernels))]
+
+
 def _balakrishnan_spectrum(n: int, q: float, cfg: QuadratureConfig) -> np.ndarray:
+    """The cached kernel of ``_build_spectrum``, built on first use."""
+    key = (n, q, cfg)
+    spectrum = _kernels.get(key)
+    if spectrum is None:
+        spectrum = _build_spectrum(n, q, cfg)
+    _remember_kernels({key: spectrum})
+    return spectrum
+
+
+def _build_spectrum(n: int, q: float, cfg: QuadratureConfig) -> np.ndarray:
     """Real FFT, at length 2(n-1), of the causal kernel of the order-q quadrature.
 
     For g = G u (so g_0 = 0) the shifted solve of ``ScaleOperator.solve_shifted``
@@ -140,7 +175,6 @@ def _balakrishnan_spectrum(n: int, q: float, cfg: QuadratureConfig) -> np.ndarra
     C sum_k w_k (G + s_k I)^-1 g is therefore the causal convolution of
     diff(g) with kappa(m) = sum_k (C w_k / d_k) rho_k^m, which one length-K
     recurrence builds; at length 2(n-1) the FFT convolution cannot wrap.
-    The array is read-only because every caller of the cache shares it.
     """
     t_min, t_max = cfg.bounds_for(q)
     m = int(math.ceil((t_max - t_min) / cfg.step))
@@ -164,7 +198,6 @@ def _balakrishnan_spectrum(n: int, q: float, cfg: QuadratureConfig) -> np.ndarra
         spectrum = np.fft.rfft(kappa, 2 * (n - 1))
     if not np.all(np.isfinite(spectrum)):
         raise QuadratureError(f"fractional power quadrature failed for q={q}")
-    spectrum.setflags(write=False)
     return spectrum
 
 

@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import hashlib
 import importlib
 import json
 import os
@@ -13,8 +14,8 @@ import scipy
 
 from oversmooth import ExperimentConfig, fit_slope, run_rate_study, run_suite
 from oversmooth.cli import _config_from_args, build_parser, main
-from oversmooth import harness
-from oversmooth.harness import SUITE_NAMES, parse_config_file
+from oversmooth import harness, scale
+from oversmooth.harness import SUITE_NAMES, CheckResult, parse_config_file
 from oversmooth.scale import QuadratureError
 
 
@@ -246,8 +247,32 @@ def test_rate_study_deterministic(fast_report):
     assert again.to_json() == fast_report.to_json()
 
 
+@pytest.mark.parametrize("deltas", [(1e-2,), (1e-2, 1e-3)])
+def test_low_order_study_needs_three_levels(deltas, tmp_path, capsys):
+    # Over fewer than 3 levels the bounded ratio says nothing (1.0 over one level), so the study fails.
+    report = run_rate_study(fast_config(regime="low_order", delta_list=deltas))
+    assert all(r.certified for r in report.rows) and report.statistic <= report.config.bounded_ratio_limit
+    assert not report.passed
+
+    cfg_file = tmp_path / "low_order.cfg"
+    levels = ", ".join(map(str, deltas))
+    cfg_file.write_text(f"grid_n = 64\nregime = low_order\ndelta_list = {levels}\nn_seeds = 1\nmax_iter = 60\n")
+    assert main(["rate-study", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "[rate-study] FAIL"
+
+
+def test_low_order_fixture_report_unchanged(study_low_order):
+    # The three-level rule leaves the default eight-level study's report as it was, byte for byte.
+    assert study_low_order.passed
+    digest = hashlib.sha256(study_low_order.to_json().encode()).hexdigest()
+    assert digest == "709f33cad878d2999c12b70177dbaafacf8aeda3ea849f4e1d58da4b4eb5ef87"
+
+
 def force_workers(monkeypatch, n):
     monkeypatch.setattr(harness, "_worker_count", lambda n_tasks: min(n, n_tasks))
+
+
+OPERATOR_SUITES = ("fracpow-check", "decay-check", "aux-rates", "nonlinearity-check")
 
 
 def test_rate_study_pool_matches_serial(monkeypatch):
@@ -358,16 +383,95 @@ def _blas_threads_draw(study, i, j):
     return (float(max(_bundled_blas_threads())), float(os.getpid()), 0.0), True
 
 
+def _blas_threads_suite(cfg):
+    return CheckResult("blas-threads", True, (str(max(_bundled_blas_threads())), str(os.getpid())), {})
+
+
 @pytest.mark.skipif(not harness._bundled_blas_setters(), reason="scipy has no bundled OpenBLAS")
 def test_pool_workers_run_one_blas_thread(monkeypatch):
-    # Each worker holds scipy's OpenBLAS to one thread; the caller's is untouched.
+    # Each worker, of a study or of the suites, holds scipy's OpenBLAS to one thread; the caller's is untouched.
     before = _bundled_blas_threads()
     force_workers(monkeypatch, 2)
     monkeypatch.setattr(harness, "_solve_draw", _blas_threads_draw)
     report = run_rate_study(fast_config())
     assert [row.error_sup for row in report.rows] == [1.0] * 4
     assert os.getpid() not in {row.residual for row in report.rows}
+
+    monkeypatch.setattr(scale, "SUITE_POOL_MIN_N", 0)
+    for name in OPERATOR_SUITES:
+        monkeypatch.setitem(SUITE_NAMES, name, _blas_threads_suite)
+    results = run_suite(OPERATOR_SUITES, fast_config())
+    assert [r.lines[0] for r in results] == ["1"] * 4
+    assert str(os.getpid()) not in {r.lines[1] for r in results}
     assert len(before) == 1 and _bundled_blas_threads() == before
+
+
+# -- operator suites on the worker pool -------------------------------------------
+
+
+def pool_suites(monkeypatch):
+    """Two workers, and the operator suites pooled at every grid size."""
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(scale, "SUITE_POOL_MIN_N", 0)
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_suite_pool_matches_serial(monkeypatch, n):
+    force_workers(monkeypatch, 1)
+    serial = run_suite(OPERATOR_SUITES, ExperimentConfig(grid_n=n))
+    pool_suites(monkeypatch)
+    pooled = run_suite(OPERATOR_SUITES, ExperimentConfig(grid_n=n))
+    assert [r.name for r in pooled] == list(OPERATOR_SUITES)
+    assert pooled == serial  # name, verdict, lines and artifacts
+
+
+def _failing_suite(cfg):
+    raise QuadratureError(f"quadrature failed in process {os.getpid()}")
+
+
+def test_suite_worker_error_reaches_caller(monkeypatch):
+    pool_suites(monkeypatch)
+    monkeypatch.setitem(SUITE_NAMES, "aux-rates", _failing_suite)
+    with pytest.raises(QuadratureError, match="quadrature failed in process") as info:
+        run_suite(OPERATOR_SUITES, ExperimentConfig(grid_n=65))
+    assert str(info.value) != f"quadrature failed in process {os.getpid()}"  # raised in a worker
+
+
+def _no_kernel_build(n, q, cfg):
+    raise AssertionError(f"kernel n={n} q={q} built again in process {os.getpid()}")
+
+
+def test_suite_pool_hands_kernels_back(monkeypatch):
+    # The first pooled pass builds every kernel in the workers; the caller keeps
+    # them, read-only, and the next pass's workers inherit them and build none.
+    pool_suites(monkeypatch)
+    monkeypatch.setattr(scale, "_kernels", {})
+    cfg = ExperimentConfig(grid_n=65)
+    first = run_suite(OPERATOR_SUITES, cfg)
+    assert scale._kernels
+    assert not any(kernel.flags.writeable for kernel in scale._kernels.values())
+    monkeypatch.setattr(scale, "_build_spectrum", _no_kernel_build)
+    assert run_suite(OPERATOR_SUITES, cfg) == first
+
+
+def test_run_suite_runs_rate_study_in_caller(monkeypatch):
+    # The suites go to one pool and the study's solves to another, both started
+    # by this process: a pool worker never starts a pool.
+    pool_suites(monkeypatch)
+    caller = os.getpid()
+    pools = []
+    pool_map = harness._pool_map
+
+    def caller_pool_map(fn, tasks):
+        if os.getpid() != caller:
+            raise RuntimeError(f"pool started in worker {os.getpid()}")
+        pools.append(list(tasks))
+        return pool_map(fn, tasks)
+
+    monkeypatch.setattr(harness, "_pool_map", caller_pool_map)
+    results = run_suite(["decay-check", "rate-study"], fast_config())
+    assert [r.name for r in results] == ["decay-check", "rate-study"]
+    assert pools == [["decay-check"], [(0, 0), (1, 0), (2, 0), (3, 0)]]
 
 
 def test_rate_study_beta_column(study_hoelder_p1):

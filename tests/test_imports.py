@@ -11,7 +11,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PROBE = """
 import sys
 import oversmooth as ov
+from oversmooth import harness
 
+# One worker: the suites run in this process, so what they import shows in its sys.modules.
+harness._worker_count = lambda n_tasks: 1
 ov.run_suite(("fracpow-check", "decay-check", "aux-rates", "nonlinearity-check"), ov.ExperimentConfig(grid_n=65))
 op = ov.ScaleOperator(64)
 truth = ov.make_truth("low_order", op)
