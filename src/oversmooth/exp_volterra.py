@@ -216,7 +216,7 @@ def nonlinearity_check(
 
     op = prob.op
     rng = np.random.default_rng(seed)
-    f_truth = prob.forward(prob.u_true).values
+    f_truth = prob.f_true.values
     rows = []
     n_prep = n_a = n_b = 0
     worst = np.inf

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence, TypeVar, get_type_hints
 import numpy as np
 import scipy
 
-from . import __version__, scale
+from . import __version__, scale, tikhonov
 from .exp_volterra import ExpVolterraProblem, NoiseSpec, add_noise, make_problem, make_truth, nonlinearity_check
 from .fitting import NOISE_FLOOR, SlopeFit, fit_slope
 from .grids import GridFunction, csv_table
@@ -352,7 +352,9 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     such as a ``QuadratureError``, reaches the caller with its type.  The
     pool is ``_pool_map``'s, and a pool worker cannot start one, so the study
     never runs in a worker: ``run_suite`` runs it in the caller, after its
-    pooled suites.
+    pooled suites.  scipy's optimizer, which the solver loads on its first
+    solve, is loaded in this process before the pool forks, so each worker
+    inherits it instead of importing it again.
     """
     quad = cfg.quadrature()
     op = ScaleOperator(cfg.grid_n)
@@ -364,6 +366,7 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     study = _Study(cfg, make_problem(op, u_true), RegularizerFamily(op, m=cfg.m), u_true, alphas, quad)
 
     tasks = [(i, j) for i in range(len(cfg.delta_list)) for j in range(cfg.n_seeds)]
+    tikhonov._load_lbfgs()  # before the fork, so the workers inherit scipy's optimizer
     solved = _pool_map(lambda task: _solve_draw(study, *task), tasks)
 
     kap = coupling_exponent(cfg.r, cfg.a)

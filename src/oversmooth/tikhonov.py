@@ -10,6 +10,8 @@ replaced by a log-sum-exp surrogate with annealed temperature, each stage
 solved by L-BFGS, and the true nonsmooth T is evaluated at every candidate.
 The forward map exp(G u_bar + G G v) and T are each computed in one place,
 ``_forward`` and ``_evaluate``, shared by the solver, its certificate and ``objective``.
+scipy's optimizer is imported on the first solve, not with this module, so a
+process that only runs the operator tools never loads ``scipy.optimize``.
 
 Every returned minimizer carries a certificate: its true objective does not
 exceed T at the auxiliary element u_aux(beta) with beta = alpha^kappa,
@@ -28,7 +30,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import minimize as _lbfgs
 
 from .grids import GridFunction
 from .lavrentiev import RegularizerFamily, auxiliary_element
@@ -54,6 +55,23 @@ CERTIFICATE_RTOL = 1e-9
 
 #: Annealing schedule: temperatures relative to the current max of each term.
 ANNEAL_TEMPS = (1e-1, 1e-2, 1e-3)
+
+#: scipy's ``minimize``, through which every descent runs; bound by ``_load_lbfgs`` on first use.
+_lbfgs = None
+
+
+def _load_lbfgs() -> None:
+    """Import scipy's optimizer and bind it to ``_lbfgs``, unless something is bound there already.
+
+    The import costs about 0.3 s and 20 MB, so a process that never solves
+    never pays it.  A function put on ``_lbfgs`` before the first solve, such
+    as a tracing wrapper, stays in place and receives every descent.
+    """
+    global _lbfgs
+    if _lbfgs is None:
+        from scipy.optimize import minimize
+
+        _lbfgs = minimize
 
 
 def coupling_exponent(r: float, a: float) -> float:
@@ -249,12 +267,15 @@ def minimize(
     behind ``objective``; the anchor's score is the certificate bound, and
     the result is the argmin of the scores, so its objective never exceeds
     the bound.  The solve is deterministic: ``seed`` is accepted for call
-    compatibility and unused.
+    compatibility and unused.  Each descent calls scipy's ``minimize``
+    through the module attribute ``_lbfgs``, which the first solve binds
+    (``_load_lbfgs``) unless a function was put there before it.
     """
     kap = coupling_exponent(prob.r, prob.a)
     beta = prob.alpha**kap
     aux = auxiliary_element(fam, beta, u_true_for_certificate, prob.u_bar_witness, prob.a, cfg)
 
+    _load_lbfgs()
     anchor = np.array(aux.witness.values)
     scored = [(_evaluate(prob, anchor), anchor)]
     for rel in ANNEAL_TEMPS:

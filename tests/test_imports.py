@@ -1,5 +1,6 @@
 """Import footprint: the modules a process loads by using the package."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,15 +8,18 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The four operator suites and one solve, in a fresh interpreter.
-PROBE = """
+# The four operator suites, in this process: one worker, so what they import shows in its sys.modules.
+SUITES = """
 import sys
 import oversmooth as ov
 from oversmooth import harness
 
-# One worker: the suites run in this process, so what they import shows in its sys.modules.
 harness._worker_count = lambda n_tasks: 1
 ov.run_suite(("fracpow-check", "decay-check", "aux-rates", "nonlinearity-check"), ov.ExperimentConfig(grid_n=65))
+"""
+
+# One solve of a small low-order problem.
+SOLVE = """
 op = ov.ScaleOperator(64)
 truth = ov.make_truth("low_order", op)
 problem = ov.make_problem(op, truth)
@@ -25,13 +29,84 @@ try:
     ov.minimize(prob, ov.RegularizerFamily(op, m=2), truth)
 except ov.UncertifiedResultError:
     pass
-print(sorted(name for name in sys.modules if name.split(".")[:2] == ["scipy", "signal"]))
 """
+
+
+def run_probe(code: str):
+    """Run code in a fresh interpreter and return the JSON value of its last output line."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_package_never_imports_scipy_signal():
     # Importing scipy.signal costs about 0.8 s and 25 MB in every process (BENCH_setup.json).
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    probe = SUITES + SOLVE + """
+import json
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[:2] == ["scipy", "signal"])))
+"""
+    assert run_probe(probe) == []
+
+
+def test_operator_suites_never_import_scipy_optimize():
+    # Importing scipy.optimize costs about 0.3 s and 20 MB; only a solve needs it (BENCH_setup.json).
+    probe = SUITES + """
+import json
+print(json.dumps("scipy.optimize" in sys.modules))
+"""
+    assert run_probe(probe) is False
+
+
+def test_first_solve_binds_scipy_minimize():
+    probe = "import oversmooth as ov\n" + SOLVE + """
+import json
+import scipy.optimize
+from oversmooth import tikhonov
+print(json.dumps(tikhonov._lbfgs is scipy.optimize.minimize))
+"""
+    assert run_probe(probe) is True
+
+
+def test_function_bound_before_first_solve_gets_every_descent():
+    # A tracer swaps ``_lbfgs`` before the first solve; loading the optimizer must not undo that.
+    probe = """
+import json
+import oversmooth as ov
+from oversmooth import tikhonov
+
+calls = []
+
+def counting(*args, **kwargs):
+    import scipy.optimize
+    calls.append(kwargs["method"])
+    return scipy.optimize.minimize(*args, **kwargs)
+
+tikhonov._lbfgs = counting
+""" + SOLVE + """
+print(json.dumps([calls, tikhonov._lbfgs is counting]))
+"""
+    assert run_probe(probe) == [["L-BFGS-B"] * 3, True]
+
+
+def test_rate_study_loads_optimizer_before_the_pool_forks():
+    # The probe replaces the solve, so a worker can only have scipy.optimize by inheriting it from the caller.
+    probe = """
+import json
+import os
+import sys
+import numpy as np
+import oversmooth as ov
+from oversmooth import harness
+
+def probe_draw(study, i, j):
+    return (float("scipy.optimize" in sys.modules), float(os.getpid()), 0.0), True
+
+harness._worker_count = lambda n_tasks: min(2, n_tasks)
+harness._solve_draw = probe_draw
+before = "scipy.optimize" in sys.modules
+cfg = ov.ExperimentConfig(grid_n=64, delta_list=tuple(np.geomspace(1e-1, 1e-3, 4)), n_seeds=1)
+rows = ov.run_rate_study(cfg).rows
+print(json.dumps([before, [row.error_sup for row in rows], os.getpid() in {row.residual for row in rows}]))
+"""
+    assert run_probe(probe) == [False, [1.0] * 4, False]
