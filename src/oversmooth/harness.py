@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar, get_type_hints
 
 import numpy as np
-import scipy
 
 from . import __version__, scale, tikhonov
 from .exp_volterra import ExpVolterraProblem, NoiseSpec, add_noise, make_problem, make_truth, nonlinearity_check
@@ -96,6 +95,8 @@ class ExperimentConfig:
         for name in ("p", "r", "a", "c_alpha", "slope_tolerance", "bounded_ratio_limit"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be at least 1")
         if self.grid_n < 64:
@@ -219,21 +220,22 @@ _CGROUP_CFS_PERIOD = Path("/sys/fs/cgroup/cpu/cpu.cfs_period_us")
 def _bundled_blas_setters() -> tuple[Callable[[int], None], ...]:
     """The thread-count setter of scipy's bundled OpenBLAS, as a tuple; empty when it is not found.
 
-    scipy's BLAS runs L-BFGS-B and, under LAPACK's banded solve ``dtbtrs``,
-    every shifted solve, so a pool worker holds it to one thread: on a 2-CPU
-    host with no thread variables set, workers that held no BLAS made the
-    default p=0.5 study about 8 times slower in the median (25.0-59.8 s
-    against 3.9-5.6 s, five runs each), with byte-identical reports.  numpy's
-    BLAS runs no product in a solve and is left alone: holding it to one
-    thread as well moved that study's time by less than its run-to-run spread
-    (3.38-4.36 s against 3.32-4.04 s, six runs each).
+    The library is ``scale._bundled_openblas()``, the one the shifted solve
+    calls LAPACK's banded solve ``dtbtrs`` from, found without importing
+    scipy.  scipy's BLAS runs L-BFGS-B and every shifted solve, so a pool
+    worker holds it to one thread: on a 2-CPU host with no thread variables
+    set, workers that held no BLAS made the default p=0.5 study about 8 times
+    slower in the median (25.0-59.8 s against 3.9-5.6 s, five runs each),
+    with byte-identical reports.  numpy's BLAS runs no product in a solve and
+    is left alone: holding it to one thread as well moved that study's time
+    by less than its run-to-run spread (3.38-4.36 s against 3.32-4.04 s, six
+    runs each).
     """
-    libs = Path(scipy.__file__).parent.with_name("scipy.libs").glob("libscipy_openblas*.so")
-    setters = [getattr(ctypes.CDLL(str(lib)), _OPENBLAS_SETTER, None) for lib in libs]
-    setters = [setter for setter in setters if setter is not None]
-    for setter in setters:
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-    return tuple(setters)
+    setter = getattr(scale._bundled_openblas(), _OPENBLAS_SETTER, None)
+    if setter is None:
+        return ()
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    return (setter,)
 
 
 def _env_blas_one_thread() -> bool:

@@ -4,7 +4,11 @@ The running-integral operator u -> int_0^x u, discretized with composite
 trapezoid weights, is lower triangular with diagonal h/2 (first row zero), so
 shifted systems (G + beta I) v = f solve in O(n) by forward substitution;
 differenced, that substitution is one unit lower-bidiagonal system, which
-LAPACK's banded triangular solve takes for a whole block at once.  On
+LAPACK's banded triangular solve (``dtbtrs``) takes for a whole block at once.
+That routine is called through ctypes from the OpenBLAS bundled in scipy's
+wheel, found without importing scipy, so the operator calculus never loads
+``scipy.linalg``; without such a bundle (a conda or system scipy) it comes
+from ``scipy.linalg.lapack``, imported on the first solve.  On
 the grid the operator is of positive type with constant kappa_* = 2, i.e.
 ||(G + beta I)^-1|| <= 2/beta in the sup operator norm for every beta > 0.
 
@@ -32,13 +36,15 @@ sampling of ``lavrentiev.decay_check``, do so in blocks of ``ROW_BLOCK`` rows.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import importlib.util
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from pathlib import Path
+from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 from .grids import GridFunction
 
@@ -201,6 +207,93 @@ def _build_spectrum(n: int, q: float, cfg: QuadratureConfig) -> np.ndarray:
     return spectrum
 
 
+# -- LAPACK's banded triangular solve -------------------------------------------
+
+#: LAPACK's ``dtbtrs`` with 32-bit integers, as the OpenBLAS in scipy's wheel exports it.
+_DTBTRS = "scipy_dtbtrs_"
+
+
+@functools.cache
+def _bundled_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS bundled in scipy's wheel, or None when there is none.
+
+    The library is looked up in ``scipy.libs`` beside scipy's package
+    directory, which ``find_spec`` names without importing scipy.  It counts
+    only if it exports ``_DTBTRS``: that exact symbol keeps the binding off an
+    ILP64 build, whose integers are 64-bit.  A conda or system scipy bundles
+    no library, and the shifted solve then takes ``dtbtrs`` from
+    ``scipy.linalg.lapack``.
+    """
+    spec = importlib.util.find_spec("scipy")
+    for pkg in (spec and spec.submodule_search_locations) or ():
+        for path in sorted(Path(pkg).with_name("scipy.libs").glob("libscipy_openblas*.so")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            if hasattr(lib, _DTBTRS):
+                return lib
+    return None
+
+
+def _check_info(info: int) -> None:
+    if info != 0:
+        raise RuntimeError(f"LAPACK dtbtrs returned info={info}")
+
+
+@functools.cache
+def _banded_solve() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``solve(band, rhs)``: LAPACK's ``dtbtrs`` with uplo="U", trans="T", diag="U", kd=1.
+
+    ``band`` is the Fortran-ordered (2, m) upper band and ``rhs`` the
+    C-ordered (k, m) or (m,) float array of right-hand sides, which is the
+    Fortran-ordered (m, k) array LAPACK takes; it is solved in place and
+    returned.  The routine is ``_bundled_openblas``'s, called through ctypes,
+    or else ``scipy.linalg.lapack``'s, imported here: the same LAPACK call
+    either way, with the same arguments.
+    """
+    lib = _bundled_openblas()
+    if lib is None:
+        from scipy.linalg.lapack import dtbtrs
+
+        def solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+            if rhs.size == 0:  # scipy's wrapper writes past an empty (m, 0) array for m > 1
+                return rhs
+            x, info = dtbtrs(band, rhs.T, uplo="U", trans="T", diag="U", overwrite_b=True)
+            _check_info(info)
+            return x.T
+
+        return solve
+
+    dtbtrs = getattr(lib, _DTBTRS)
+    int_p = ctypes.POINTER(ctypes.c_int)
+    # uplo, trans, diag, n, kd, nrhs, ab, ldab, b, ldb, info, then the three
+    # hidden lengths of the character arguments that gfortran appends.
+    dtbtrs.argtypes = [ctypes.c_char_p] * 3 + [int_p] * 3 + [ctypes.c_void_p, int_p] * 2 + [int_p] + [ctypes.c_size_t] * 3
+    dtbtrs.restype = None
+    one, two = ctypes.c_int(1), ctypes.c_int(2)
+    ref = ctypes.byref
+
+    def solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        # LAPACK reads and writes through the raw pointers: check what they point at first.
+        if not (
+            band.dtype == rhs.dtype == np.float64
+            and band.shape[0] == 2
+            and band.flags.f_contiguous
+            and rhs.flags.c_contiguous
+            and rhs.shape[-1] == band.shape[1]
+        ):
+            raise ValueError("dtbtrs needs a Fortran-ordered (2, m) band and C-ordered (..., m) float64 right-hand sides")
+        m = ctypes.c_int(band.shape[1])
+        info = ctypes.c_int()
+        nrhs = ctypes.c_int(rhs.size // m.value)
+        dtbtrs(b"U", b"T", b"U", ref(m), ref(one), ref(nrhs), band.ctypes.data, ref(two), rhs.ctypes.data, ref(m), ref(info), 1, 1, 1)
+        _check_info(info.value)
+        return rhs
+
+    return solve
+
+
 @dataclass(frozen=True)
 class ScaleOperator:
     """The discretized running-integral generator on an n-point grid."""
@@ -280,20 +373,22 @@ class ScaleOperator:
         transpose (trans="T") of its upper band, which rounds each step as the
         recurrence does (the lower form's update kernel may fuse the multiply
         and add).  With diag="U" LAPACK never reads the diagonal row and cannot
-        report a singular system.  The transposed C-ordered (k, n-1) right-hand
-        side is the Fortran-ordered array LAPACK takes: no copy, overwritten.
+        report a singular system.  The C-ordered (k, n-1) right-hand side is
+        the Fortran-ordered array LAPACK takes: no copy, solved in place.
+        ``_banded_solve`` calls the routine from scipy's bundled OpenBLAS
+        through ctypes, or from ``scipy.linalg.lapack`` when scipy bundles none.
         """
         h2 = 0.5 * self.h
         d = beta + h2
-        band = np.empty((2, self.n - 1))
+        band = np.empty((self.n - 1, 2)).T
         band[0] = -(beta - h2) / d
         out = np.empty_like(f)
         first = f[..., 0] / beta
         out[..., 0] = first
-        rhs = f[..., 1:] - f[..., :-1]
+        rhs = np.subtract(f[..., 1:], f[..., :-1], dtype=float, order="C")
         rhs[..., 0] = f[..., 1] - h2 * first
         rhs /= d
-        out[..., 1:] = dtbtrs(band, rhs.T, uplo="U", trans="T", diag="U", overwrite_b=True)[0].T
+        out[..., 1:] = _banded_solve()(band, rhs)
         return out
 
     # -- fractional powers ---------------------------------------------------

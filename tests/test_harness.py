@@ -6,11 +6,9 @@ import json
 import os
 import re
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from oversmooth import ExperimentConfig, fit_slope, run_rate_study, run_suite
 from oversmooth.cli import _config_from_args, build_parser, main
@@ -76,6 +74,8 @@ def test_config_validation():
         ExperimentConfig(regime="other")
     with pytest.raises(ValueError):
         ExperimentConfig(n_seeds=0)
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        ExperimentConfig(seed=-1)
 
 
 def test_config_file_parsing(tmp_path):
@@ -174,6 +174,7 @@ BAD_CONFIG_LINES = {
     "tail_tol = inf": "finite",
     "max_iter = 0": "max_iter must be at least 1",
     "max_iter = -1": "max_iter must be at least 1",
+    "seed = -1": "seed must be non-negative",
     "p = 1.5": "order p in (0, 1]",
     "c_alpha = 0": "constant C must be positive",
     "r = 0": "exponents r and a must be positive",
@@ -370,21 +371,18 @@ def test_quota_cpus_reads_cgroup_files(monkeypatch, tmp_path, cpu_max, cfs, expe
     assert harness._quota_cpus() == expected
 
 
-def _bundled_blas_threads() -> list[int]:
-    threads = []
-    for lib in Path(scipy.__file__).parent.with_name("scipy.libs").glob("libscipy_openblas*.so"):
-        getter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads")
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        threads.append(getter())
-    return threads
+def _bundled_blas_threads() -> int:
+    getter = scale._bundled_openblas().scipy_openblas_get_num_threads
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
 
 
 def _blas_threads_draw(study, i, j):
-    return (float(max(_bundled_blas_threads())), float(os.getpid()), 0.0), True
+    return (float(_bundled_blas_threads()), float(os.getpid()), 0.0), True
 
 
 def _blas_threads_suite(cfg):
-    return CheckResult("blas-threads", True, (str(max(_bundled_blas_threads())), str(os.getpid())), {})
+    return CheckResult("blas-threads", True, (str(_bundled_blas_threads()), str(os.getpid())), {})
 
 
 @pytest.mark.skipif(not harness._bundled_blas_setters(), reason="scipy has no bundled OpenBLAS")
@@ -403,7 +401,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     results = run_suite(OPERATOR_SUITES, fast_config())
     assert [r.lines[0] for r in results] == ["1"] * 4
     assert str(os.getpid()) not in {r.lines[1] for r in results}
-    assert len(before) == 1 and _bundled_blas_threads() == before
+    assert _bundled_blas_threads() == before
 
 
 # -- operator suites on the worker pool -------------------------------------------
@@ -552,6 +550,13 @@ def test_cli_nonlinearity(capsys):
     code = main(["nonlinearity-check", "--grid-n", "128"])
     assert code == 0
     assert "[nonlinearity-check] PASS" in capsys.readouterr().out
+
+
+def test_cli_rejects_negative_seed(monkeypatch, capsys):
+    # Rejected with the config, before any worker forks or any draw is made.
+    monkeypatch.setattr(harness, "_pool_map", lambda fn, tasks: pytest.fail("study started"))
+    assert main(["rate-study", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.strip() == "error: seed must be non-negative"
 
 
 def test_cli_flags_override_config_file(tmp_path):

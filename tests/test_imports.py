@@ -6,6 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from oversmooth import scale
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The four operator suites, in this process: one worker, so what they import shows in its sys.modules.
@@ -16,6 +20,24 @@ from oversmooth import harness
 
 harness._worker_count = lambda n_tasks: 1
 ov.run_suite(("fracpow-check", "decay-check", "aux-rates", "nonlinearity-check"), ov.ExperimentConfig(grid_n=65))
+"""
+
+# The same suites on two forked workers, each suite wrapped to report from its worker.
+POOLED_SUITES = """
+import os
+import sys
+import oversmooth as ov
+from oversmooth import harness, scale
+
+def reporting(suite):
+    return lambda cfg: (suite(cfg).name, os.getpid(), "scipy.linalg" in sys.modules)
+
+names = ("fracpow-check", "decay-check", "aux-rates", "nonlinearity-check")
+harness._worker_count = lambda n_tasks: min(2, n_tasks)
+scale.SUITE_POOL_MIN_N = 0
+for name in names:
+    harness.SUITE_NAMES[name] = reporting(harness.SUITE_NAMES[name])
+reports = ov.run_suite(names, ov.ExperimentConfig(grid_n=65))
 """
 
 # One solve of a small low-order problem.
@@ -56,6 +78,24 @@ import json
 print(json.dumps("scipy.optimize" in sys.modules))
 """
     assert run_probe(probe) is False
+
+
+@pytest.mark.skipif(scale._bundled_openblas() is None, reason="scipy has no bundled OpenBLAS")
+def test_operator_suites_never_import_scipy_linalg():
+    # Importing scipy.linalg costs about 0.27 s and 27 MB; the shifted solve calls LAPACK through ctypes.
+    serial = run_probe(SUITES + """
+import json
+print(json.dumps("scipy.linalg" in sys.modules))
+""")
+    pooled = run_probe(POOLED_SUITES + """
+import json
+print(json.dumps([reports, os.getpid(), "scipy.linalg" in sys.modules]))
+""")
+    reports, caller, in_caller = pooled
+    assert serial is False and in_caller is False
+    assert [name for name, _, _ in reports] == ["fracpow-check", "decay-check", "aux-rates", "nonlinearity-check"]
+    assert caller not in {pid for _, pid, _ in reports}
+    assert [loaded for _, _, loaded in reports] == [False] * 4
 
 
 def test_first_solve_binds_scipy_minimize():

@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from oversmooth import (
     smooth_element,
     tau_norm,
 )
+from oversmooth import scale
 
 
 def unit_uniform(op, rng):
@@ -180,6 +183,71 @@ def test_solve_matches_forward_substitution(n, beta):
     for got, f in [*zip(op._solve_values(beta, block), block), (op._solve_values(beta, block[0]), block[0])]:
         ref = forward_substitution(op, beta, f)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# -- the two bindings of LAPACK's banded solve ------------------------------------
+
+
+@pytest.fixture(params=["bundled", "fallback"])
+def binding(request, monkeypatch):
+    """The shifted solve bound to scipy's bundled OpenBLAS through ctypes, then to scipy.linalg.lapack."""
+    if request.param == "bundled" and scale._bundled_openblas() is None:
+        pytest.skip("scipy has no bundled OpenBLAS")
+    if request.param == "fallback":
+        monkeypatch.setattr(scale, "_bundled_openblas", lambda: None)
+    scale._banded_solve.cache_clear()
+    yield request.param
+    scale._banded_solve.cache_clear()
+
+
+def lapack_solve(op, beta, f):
+    """The shifted solve written out with scipy.linalg.lapack.dtbtrs on a C-ordered band."""
+    from scipy.linalg.lapack import dtbtrs
+
+    h2 = 0.5 * op.h
+    d = beta + h2
+    band = np.empty((2, op.n - 1))
+    band[0] = -(beta - h2) / d
+    out = np.empty_like(f)
+    out[..., 0] = f[..., 0] / beta
+    rhs = f[..., 1:] - f[..., :-1]
+    rhs[..., 0] = f[..., 1] - h2 * out[..., 0]
+    rhs /= d
+    out[..., 1:] = dtbtrs(band, rhs.T, uplo="U", trans="T", diag="U")[0].T
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 65, 256, 1025, 4097])
+def test_bindings_match_scipy_dtbtrs(binding, n):
+    # Both bindings run the same LAPACK routine on the same arrays, so they agree bit for bit, also
+    # for beta below h/2 (rho < 0), for beta >> 1 and on the smallest grid (one unknown per row).
+    op = ScaleOperator(n)
+    rng = np.random.default_rng(n)
+    for beta in (0.25 * op.h, 1e-6, 0.1, 1e3):
+        for shape in [(n,), (3, n), (8, n)]:
+            f = rng.uniform(-1.0, 1.0, shape)
+            got = op._solve_values(beta, f)
+            assert got.shape == shape and np.array_equal(got, lapack_solve(op, beta, f))
+
+
+@pytest.mark.parametrize("n", [2, 65, 4097])
+def test_bindings_take_empty_blocks(binding, n):
+    # scipy's wrapper itself must not see a (0, n) block: it writes past the empty array for n > 2.
+    for _ in range(50):
+        assert ScaleOperator(n)._solve_values(0.1, np.empty((0, n))).shape == (0, n)
+
+
+def test_no_bundle_without_scipy_libs(monkeypatch, tmp_path):
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path / "scipy")]
+    (tmp_path / "scipy.libs").mkdir()
+    (tmp_path / "scipy.libs" / "libscipy_openblas-0.so").write_bytes(b"not a library")
+    for found in (None, spec):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: found)
+        scale._bundled_openblas.cache_clear()
+        assert scale._bundled_openblas() is None
+    monkeypatch.undo()
+    scale._bundled_openblas.cache_clear()
 
 
 def test_resolvent_norm_bound_random():
