@@ -257,7 +257,7 @@ def _banded_solve() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         from scipy.linalg.lapack import dtbtrs
 
         def solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-            if rhs.size == 0:  # scipy's wrapper writes past an empty (m, 0) array for m > 1
+            if rhs.size == 0:  # scipy's wrapper writes outside an empty (m, 0) array for m > 1
                 return rhs
             x, info = dtbtrs(band, rhs.T, uplo="U", trans="T", diag="U", overwrite_b=True)
             _check_info(info)

@@ -231,10 +231,22 @@ def test_bindings_match_scipy_dtbtrs(binding, n):
 
 
 @pytest.mark.parametrize("n", [2, 65, 4097])
-def test_bindings_take_empty_blocks(binding, n):
-    # scipy's wrapper itself must not see a (0, n) block: it writes past the empty array for n > 2.
-    for _ in range(50):
-        assert ScaleOperator(n)._solve_values(0.1, np.empty((0, n))).shape == (0, n)
+def test_bindings_take_empty_blocks(binding, monkeypatch, n):
+    # scipy's wrapper must never see an empty block: it writes outside an empty (m, 0) array when m > 1.
+    import scipy.linalg.lapack
+
+    wrapper = scipy.linalg.lapack.dtbtrs
+
+    def nonempty_only(ab, b, **kwargs):
+        assert b.size > 0, "scipy's dtbtrs called on an empty right-hand side"
+        return wrapper(ab, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtbtrs", nonempty_only)
+    scale._banded_solve.cache_clear()
+    op = ScaleOperator(n)
+    assert op._solve_values(0.1, np.empty((0, n))).shape == (0, n)
+    f = np.random.default_rng(n).uniform(-1.0, 1.0, (2, n))
+    assert np.array_equal(op._solve_values(0.1, f), lapack_solve(op, 0.1, f))
 
 
 def test_no_bundle_without_scipy_libs(monkeypatch, tmp_path):
