@@ -12,6 +12,10 @@ The forward map exp(G u_bar + G G v) and T are each computed in one place,
 ``_forward`` and ``_evaluate``, shared by the solver, its certificate and ``objective``.
 scipy's optimizer is imported on the first solve, not with this module, so a
 process that only runs the operator tools never loads ``scipy.optimize``.
+Each descent runs scipy's L-BFGS-B routine ``setulb`` from the short loop
+``_lbfgsb``, which takes the same iterates as scipy's "L-BFGS-B" driver without
+that driver's Python wrapper; where ``setulb`` has another signature, descents
+fall back to the driver.
 
 Every returned minimizer carries a certificate: its true objective does not
 exceed T at the auxiliary element u_aux(beta) with beta = alpha^kappa,
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -72,6 +76,84 @@ def _load_lbfgs() -> None:
         from scipy.optimize import minimize
 
         _lbfgs = minimize
+
+
+#: First line of ``setulb.__doc__`` in scipy's C port of L-BFGS-B (scipy 1.17), the call ``_lbfgsb`` makes.
+_SETULB_SIGNATURE = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+
+#: scipy's cap on objective evaluations in an L-BFGS-B descent (its ``maxfun`` default).
+_MAXFUN = 15000
+
+
+@cache
+def _setulb():
+    """scipy's ``setulb`` if its signature is ``_SETULB_SIGNATURE``, else None.
+
+    Older scipy (the Fortran wrapper) and any later change of the routine's
+    arguments give None, and descents then run scipy's own "L-BFGS-B" driver.
+    """
+    try:
+        from scipy.optimize._lbfgsb import setulb
+    except ImportError:
+        return None
+    return setulb if (setulb.__doc__ or "").split("\n", 1)[0] == _SETULB_SIGNATURE else None
+
+
+def _lbfgsb(fun, x0, maxiter, ftol, gtol, maxcor, maxls=20, **_):
+    """Unbounded L-BFGS-B from ``x0``: scipy 1.17's ``_minimize_lbfgsb`` loop around ``setulb``.
+
+    A custom ``method`` for scipy's ``minimize``; ``_`` takes the keywords
+    that ``minimize`` passes and a descent leaves unset (``jac``, ``bounds``,
+    ``callback``, ...).  ``fun(x)`` returns ``(f, grad)`` and must not write
+    into ``x``.  The calls and arguments are scipy's, so ``x``, ``fun``,
+    ``nit`` and ``nfev`` equal those of ``minimize(fun, x0, jac=True,
+    method="L-BFGS-B")`` bit for bit.  As in scipy's ``ScalarFunction``,
+    ``fun`` runs at ``x0`` and then whenever ``setulb`` asks for f and g at
+    an ``x`` unequal to the last one evaluated; an equal ``x`` reuses that
+    pair.  ``setulb`` writes into the gradient it is passed on some calls,
+    so the cached one is kept apart.  The status is 0 on convergence, 1 at
+    ``maxiter`` iterations or past ``_MAXFUN`` evaluations, and 2 when
+    ``setulb`` gives up, as on an abnormal line search.
+    """
+    from scipy.optimize import OptimizeResult
+
+    setulb = _setulb()
+    x = np.array(x0, dtype=np.float64)
+    n, m = x.size, maxcor
+    seen = x.copy()
+    f_seen, g_seen = fun(seen)
+    nfev, nit = 1, 0
+    f, g = np.array(0.0), np.zeros(n)
+    lower, upper, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = ftol / np.finfo(float).eps
+    while True:
+        setulb(m, x, lower, upper, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave, maxls, ln_task)
+        if task[0] == 3:  # f and g wanted at x
+            if not (x == seen).all():
+                seen = x.copy()
+                f_seen, g_seen = fun(seen)
+                nfev += 1
+            f = f_seen
+            g[:] = g_seen
+        elif task[0] == 1:  # a new iteration
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504  # stop: iteration cap
+            elif nfev > _MAXFUN:
+                task[:] = 5, 502  # stop: evaluation cap
+        else:
+            break
+    if task[0] == 4:  # converged
+        status = 0
+    elif nfev > _MAXFUN or nit >= maxiter:
+        status = 1
+    else:
+        status = 2
+    return OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev, status=status)
 
 
 def coupling_exponent(r: float, a: float) -> float:
@@ -269,13 +351,17 @@ def minimize(
     the bound.  The solve is deterministic: ``seed`` is accepted for call
     compatibility and unused.  Each descent calls scipy's ``minimize``
     through the module attribute ``_lbfgs``, which the first solve binds
-    (``_load_lbfgs``) unless a function was put there before it.
+    (``_load_lbfgs``) unless a function was put there before it.  It passes
+    ``method=_lbfgsb``, the in-module loop around scipy's ``setulb``, or,
+    where ``_setulb`` finds another signature, ``jac=True,
+    method="L-BFGS-B"``; both take the same iterates.
     """
     kap = coupling_exponent(prob.r, prob.a)
     beta = prob.alpha**kap
     aux = auxiliary_element(fam, beta, u_true_for_certificate, prob.u_bar_witness, prob.a, cfg)
 
     _load_lbfgs()
+    driver = {"method": _lbfgsb} if _setulb() else {"jac": True, "method": "L-BFGS-B"}
     anchor = np.array(aux.witness.values)
     scored = [(_evaluate(prob, anchor), anchor)]
     for rel in ANNEAL_TEMPS:
@@ -285,8 +371,7 @@ def minimize(
         sol = _lbfgs(
             SmoothedObjective(prob, temps).value_and_grad,
             v,
-            jac=True,
-            method="L-BFGS-B",
+            **driver,
             options={"maxiter": max_iter, "ftol": 1e-16, "gtol": 1e-12, "maxcor": 20},
         )
         scored.append((_evaluate(prob, sol.x), sol.x))

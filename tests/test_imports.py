@@ -119,14 +119,14 @@ calls = []
 
 def counting(*args, **kwargs):
     import scipy.optimize
-    calls.append(kwargs["method"])
+    calls.append([kwargs["method"] is tikhonov._lbfgsb, kwargs["options"]["maxiter"]])
     return scipy.optimize.minimize(*args, **kwargs)
 
 tikhonov._lbfgs = counting
 """ + SOLVE + """
 print(json.dumps([calls, tikhonov._lbfgs is counting]))
 """
-    assert run_probe(probe) == [["L-BFGS-B"] * 3, True]
+    assert run_probe(probe) == [[[True, 300]] * 3, True]
 
 
 def test_rate_study_loads_optimizer_before_the_pool_forks():

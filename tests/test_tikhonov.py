@@ -2,6 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from oversmooth import (
     GridFunction,
@@ -299,6 +300,84 @@ def test_value_and_grad_is_the_plain_formula(op256, quad, r):
         assert value == want_value
         assert np.array_equal(grad, want_grad)
         assert np.array_equal(v, kept)
+
+
+# -- the L-BFGS-B loop around setulb ---------------------------------------------
+
+DESCENT_OPTIONS = {"ftol": 1e-16, "gtol": 1e-12, "maxcor": 20}
+
+
+def descent_case(op, case, r):
+    """A surrogate from v = 0 at n = 64 that shows ``case``, and the iteration cap to run it with."""
+    problem = make_problem(op, make_truth("low_order", op))
+    if case == "overflow":  # data near 1e10: the line search steps far enough for exp to overflow
+        prob = TikhonovProblem(problem, GridFunction(np.full(op.n, 1e10)), 0.1, GridFunction.zeros(op.n), 1e-3, r=r)
+        maxiter = 300
+    else:
+        delta, alpha, maxiter = {"capped": (1e-2, 1e-2**r, 20), "converged": (1e-2, 1e3, 300), "re-request": (1e-3, 1e-3**r, 300)}[case]
+        prob = make_prob(problem, delta, alpha, r=r)
+    residual = tikhonov._evaluate(prob, np.zeros(op.n))[1]
+    return SmoothedObjective(prob, (0.1 * residual, 1e-4 * residual)).value_and_grad, maxiter
+
+
+@pytest.mark.skipif(tikhonov._setulb() is None, reason="scipy's setulb has another signature")
+@pytest.mark.parametrize("r", [1.0, 2.0])
+@pytest.mark.parametrize("case", ["capped", "converged", "overflow", "re-request"])
+def test_lbfgsb_loop_matches_scipy_driver(op64, monkeypatch, case, r):
+    # The loop must take scipy's iterates bit for bit and count as scipy does.
+    fun, maxiter = descent_case(op64, case, r)
+    options = {"maxiter": maxiter, **DESCENT_OPTIONS}
+    x0 = np.zeros(op64.n)
+    want = scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", options=options)
+
+    setulb, requests, values = tikhonov._setulb(), [], []
+
+    def counting_setulb(*args):
+        setulb(*args)
+        requests.append(args[11][0] == 3)  # task: f and g wanted
+
+    def recording(x):
+        value, grad = fun(x)
+        values.append(value)
+        return value, grad
+
+    monkeypatch.setattr(tikhonov, "_setulb", lambda: counting_setulb)
+    got = scipy.optimize.minimize(recording, x0, method=tikhonov._lbfgsb, options=options)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.fun == want.fun
+    assert (got.nit, got.nfev, got.status) == (want.nit, want.nfev, want.status)
+    assert len(values) == got.nfev
+    # Each case shows what it is named for.
+    if case == "capped":
+        assert got.nit == maxiter and got.status == 1
+    elif case == "converged":
+        assert got.nit < maxiter and got.status == 0
+    elif case == "overflow":
+        assert np.inf in values
+    else:  # the x0 evaluation answers the first request; more requests than that reused an unchanged x
+        assert sum(requests) > got.nfev
+
+
+def test_minimize_falls_back_to_scipy_driver(setup, monkeypatch):
+    # Where setulb has another signature, descents run scipy's "L-BFGS-B" with the same result.
+    problem, fam, u_true = setup
+    prob = make_prob(problem, 1e-2, 1e-2, seed=9)
+    want = minimize(prob, fam, u_true, max_iter=60)
+    methods = []
+    lbfgs = tikhonov._lbfgs
+
+    def recording(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return lbfgs(*args, **kwargs)
+
+    monkeypatch.setattr(tikhonov, "_setulb", lambda: None)
+    monkeypatch.setattr(tikhonov, "_lbfgs", recording)
+    got = minimize(prob, fam, u_true, max_iter=60)
+    assert methods == ["L-BFGS-B"] * len(ANNEAL_TEMPS)
+    for field in ("u_min", "v_min"):
+        assert getattr(got, field).values.tobytes() == getattr(want, field).values.tobytes()
+    for field in ("objective", "residual", "penalty", "certificate_bound", "certified"):
+        assert getattr(got, field) == getattr(want, field)
 
 
 def test_uncertified_error_pickle_round_trip(setup):
