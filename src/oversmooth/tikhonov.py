@@ -99,13 +99,13 @@ def _setulb():
     return setulb if (setulb.__doc__ or "").split("\n", 1)[0] == _SETULB_SIGNATURE else None
 
 
-def _lbfgsb(fun, x0, maxiter, ftol, gtol, maxcor, maxls=20, **_):
+def _lbfgsb(fun, x0, args, jac, hess, hessp, bounds, constraints, callback, maxiter, ftol, gtol, maxcor):
     """Unbounded L-BFGS-B from ``x0``: scipy 1.17's ``_minimize_lbfgsb`` loop around ``setulb``.
 
-    A custom ``method`` for scipy's ``minimize``; ``_`` takes the keywords
-    that ``minimize`` passes and a descent leaves unset (``jac``, ``bounds``,
-    ``callback``, ...).  ``fun(x)`` returns ``(f, grad)`` and must not write
-    into ``x``.  The calls and arguments are scipy's, so ``x``, ``fun``,
+    A custom ``method`` for scipy's ``minimize``, which passes ``args``
+    through ``callback``; descents leave them unset, and an option other
+    than the four named raises a TypeError.  ``fun(x)`` returns
+    ``(f, grad)`` and must not write into ``x``.  The calls and arguments are scipy's, so ``x``, ``fun``,
     ``nit`` and ``nfev`` equal those of ``minimize(fun, x0, jac=True,
     method="L-BFGS-B")`` bit for bit.  As in scipy's ``ScalarFunction``,
     ``fun`` runs at ``x0`` and then whenever ``setulb`` asks for f and g at
@@ -131,7 +131,8 @@ def _lbfgsb(fun, x0, maxiter, ftol, gtol, maxcor, maxls=20, **_):
     lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
     factr = ftol / np.finfo(float).eps
     while True:
-        setulb(m, x, lower, upper, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave, maxls, ln_task)
+        # maxls = 20, scipy's default line-search cap
+        setulb(m, x, lower, upper, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
         if task[0] == 3:  # f and g wanted at x
             if not (x == seen).all():
                 seen = x.copy()

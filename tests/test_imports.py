@@ -119,7 +119,8 @@ calls = []
 
 def counting(*args, **kwargs):
     import scipy.optimize
-    calls.append([kwargs["method"] is tikhonov._lbfgsb, kwargs["options"]["maxiter"]])
+    loop = tikhonov._lbfgsb if tikhonov._setulb() else "L-BFGS-B"
+    calls.append([kwargs["method"] == loop, kwargs["options"]["maxiter"]])
     return scipy.optimize.minimize(*args, **kwargs)
 
 tikhonov._lbfgs = counting
