@@ -2,8 +2,9 @@
 
 A rate study sweeps the noise level over a decreasing list, picks alpha by the
 configured a priori rule, runs the certified Tikhonov solver for each level
-and noise draw (independent solves, spread on Linux over forked worker
-processes, one per CPU the process may use), and summarizes the sup-norm
+and noise draw (independent solves, dealt on Linux to forked worker
+processes, one per CPU the process may use, each of which descends its share
+as one lockstep block), and summarizes the sup-norm
 reconstruction errors: a fitted log-log slope for the Hoelder regime, a
 boundedness statistic error * log(1/delta) for the low-order regime, and a
 monotone-decrease check when no smoothness is constructed.  Reports freeze
@@ -39,10 +40,9 @@ from .scale import QuadratureConfig, ScaleOperator, riemann_liouville
 from .tikhonov import (
     ParamChoice,
     TikhonovProblem,
-    UncertifiedResultError,
     choose_alpha,
     coupling_exponent,
-    minimize,
+    minimize_many,
 )
 
 __all__ = [
@@ -181,12 +181,12 @@ class _Study:
     quad: QuadratureConfig
 
 
-def _solve_draw(study: _Study, i: int, j: int) -> tuple[tuple[float, float, float], bool]:
-    """Solve noise draw j at level i: ((sup-norm error, residual, penalty), certified)."""
+def _draw_problem(study: _Study, i: int, j: int) -> TikhonovProblem:
+    """The Tikhonov problem of noise draw j at level i."""
     cfg = study.cfg
     delta = cfg.delta_list[i]
     f_delta = add_noise(study.problem.f_true, NoiseSpec(delta, cfg.noise_kind, cfg.seed + 1000 * i + j))
-    prob = TikhonovProblem(
+    return TikhonovProblem(
         forward_problem=study.problem,
         f_delta=f_delta,
         delta=delta,
@@ -195,11 +195,13 @@ def _solve_draw(study: _Study, i: int, j: int) -> tuple[tuple[float, float, floa
         r=cfg.r,
         a=cfg.a,
     )
-    try:
-        res = minimize(prob, study.fam, study.u_true, max_iter=cfg.max_iter, cfg=study.quad)
-    except UncertifiedResultError as exc:
-        res = exc.result
-    return ((res.u_min - study.u_true).sup_norm(), res.residual, res.penalty), res.certified
+
+
+def _solve_group(study: _Study, tasks: Sequence[tuple[int, int]]) -> list[tuple[tuple[float, float, float], bool]]:
+    """Solve the (level i, draw j) tasks as one lockstep block: ((sup-norm error, residual, penalty), certified) each."""
+    probs = [_draw_problem(study, i, j) for i, j in tasks]
+    solved = minimize_many(probs, study.fam, study.u_true, max_iter=study.cfg.max_iter, cfg=study.quad)
+    return [(((res.u_min - study.u_true).sup_norm(), res.residual, res.penalty), res.certified) for res in solved]
 
 
 #: The thread-count setter exported by the OpenBLAS build bundled in the scipy wheel.
@@ -349,8 +351,12 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     be, and any BLAS can be through OMP_NUM_THREADS=1 (with OPENBLAS_, MKL_
     and BLIS_NUM_THREADS unset or 1).  The quota is read from the cgroup
     files a container sees as its own; a quota set on an ancestor cgroup is
-    not seen.  Results are collected in submission order, so the report is
-    byte-identical whatever the worker count.  An exception from a solve,
+    not seen.  The tasks are dealt round-robin into one group per worker, and
+    each group is solved as one block by ``tikhonov.minimize_many``, its
+    descents in lockstep (with one worker, all tasks are one block in this
+    process).  Each solve's floats are its own whatever block it is in, and
+    results are put back in task order, so the report is byte-identical
+    whatever the worker count.  An exception from a solve,
     such as a ``QuadratureError``, reaches the caller with its type.  The
     pool is ``_pool_map``'s, and a pool worker cannot start one, so the study
     never runs in a worker: ``run_suite`` runs it in the caller, after its
@@ -368,8 +374,12 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     study = _Study(cfg, make_problem(op, u_true), RegularizerFamily(op, m=cfg.m), u_true, alphas, quad)
 
     tasks = [(i, j) for i in range(len(cfg.delta_list)) for j in range(cfg.n_seeds)]
+    workers = _worker_count(len(tasks))
+    groups = [tasks[w::workers] for w in range(workers)]
     tikhonov._load_lbfgs()  # before the fork, so the workers inherit scipy's optimizer
-    solved = _pool_map(lambda task: _solve_draw(study, *task), tasks)
+    solved: list = [None] * len(tasks)
+    for w, group in enumerate(_pool_map(lambda group: _solve_group(study, group), groups)):
+        solved[w::workers] = group
 
     kap = coupling_exponent(cfg.r, cfg.a)
     rows: list[RateRow] = []

@@ -27,8 +27,9 @@ product-integration discretization of the Riemann-Liouville integral, its
 two weight convolutions also done by numpy's FFT, is provided as an
 independent cross-check route.
 
-The private value-level primitives (``_apply_values``, ``_solve_values`` and
-``_balakrishnan``) act along the last axis: they take one vector, or a (k, n)
+The private value-level primitives (``_apply_values``,
+``_apply_adjoint_values``, ``_solve_values`` and ``_balakrishnan``) act along
+the last axis: they take one vector, or a (k, n)
 block whose rows they map exactly as k separate calls would, bit for bit.
 Callers that push many vectors through the same operators, such as the probe
 sampling of ``lavrentiev.decay_check``, do so in blocks of ``ROW_BLOCK`` rows.
@@ -333,13 +334,16 @@ class ScaleOperator:
     def _apply_adjoint_values(self, w: np.ndarray) -> np.ndarray:
         # Column sums of the trapezoid matrix: column 0 carries weight h/2 on
         # every row >= 1, interior columns weight h below the diagonal and h/2
-        # on it.  The cumsum method and the in-place step match the out-of-place
-        # formula bit for bit, faster.
-        tail = w[::-1].cumsum()[::-1]
+        # on it.  Along the last axis, as in _apply_values: w.T has the grid on
+        # its first axis for one vector and a (k, n) block alike.  The cumsum
+        # method and the in-place step match the out-of-place formula bit for
+        # bit, faster.
+        w = w.T
+        tail = w[::-1].cumsum(0)[::-1]
         out = self.h * tail
         out -= 0.5 * self.h * w
         out[0] = 0.5 * self.h * (tail[0] - w[0])
-        return out
+        return out.T
 
     def dense(self) -> np.ndarray:
         """The explicit lower-triangular matrix (test and diagnostics helper)."""

@@ -15,7 +15,12 @@ process that only runs the operator tools never loads ``scipy.optimize``.
 Each descent runs scipy's L-BFGS-B routine ``setulb`` from the short loop
 ``_lbfgsb``, which takes the same iterates as scipy's "L-BFGS-B" driver without
 that driver's Python wrapper; where ``setulb`` has another signature, descents
-fall back to the driver.
+fall back to the driver.  ``minimize_many`` solves several problems on one grid
+as rows of one block: each row keeps its own ``setulb`` state, the rows descend
+in lockstep, and each step evaluates the surrogate once, along the last axis,
+for every row that asks.  No row's floats depend on the others, so each result
+is its problem's own ``minimize`` result, and ``minimize`` is the block of one
+row, at 1-D witnesses.
 
 Every returned minimizer carries a certificate: its true objective does not
 exceed T at the auxiliary element u_aux(beta) with beta = alpha^kappa,
@@ -31,13 +36,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .grids import GridFunction
 from .lavrentiev import RegularizerFamily, auxiliary_element
-from .scale import DEFAULT_QUADRATURE, QuadratureConfig
+from .scale import DEFAULT_QUADRATURE, QuadratureConfig, ScaleOperator
 
 if TYPE_CHECKING:
     from .exp_volterra import ExpVolterraProblem
@@ -52,6 +57,7 @@ __all__ = [
     "MinimizeResult",
     "UncertifiedResultError",
     "minimize",
+    "minimize_many",
 ]
 
 #: Relative slack separating solver noise from a genuine certificate failure.
@@ -99,62 +105,104 @@ def _setulb():
     return setulb if (setulb.__doc__ or "").split("\n", 1)[0] == _SETULB_SIGNATURE else None
 
 
-def _lbfgsb(fun, x0, args, jac, hess, hessp, bounds, constraints, callback, maxiter, ftol, gtol, maxcor):
-    """Unbounded L-BFGS-B from ``x0``: scipy 1.17's ``_minimize_lbfgsb`` loop around ``setulb``.
+def _lbfgsb(fun, x0, args, jac, hess, hessp, bounds, constraints, callback, maxiter, ftol, gtol, maxcor, rows=1):
+    """Unbounded L-BFGS-B from ``x0``: scipy 1.17's ``_minimize_lbfgsb`` loop around ``setulb``, on one row or several in lockstep.
 
     A custom ``method`` for scipy's ``minimize``, which passes ``args``
     through ``callback``; descents leave them unset, and an option other
-    than the four named raises a TypeError.  ``fun(x)`` returns
-    ``(f, grad)`` and must not write into ``x``.  The calls and arguments are scipy's, so ``x``, ``fun``,
-    ``nit`` and ``nfev`` equal those of ``minimize(fun, x0, jac=True,
-    method="L-BFGS-B")`` bit for bit.  As in scipy's ``ScalarFunction``,
-    ``fun`` runs at ``x0`` and then whenever ``setulb`` asks for f and g at
-    an ``x`` unequal to the last one evaluated; an equal ``x`` reuses that
-    pair.  ``setulb`` writes into the gradient it is passed on some calls,
-    so the cached one is kept apart.  The status is 0 on convergence, 1 at
-    ``maxiter`` iterations or past ``_MAXFUN`` evaluations, and 2 when
-    ``setulb`` gives up, as on an abnormal line search.
+    than the five named raises a TypeError.  The calls and arguments are
+    scipy's, so each row's ``x``, ``fun``, ``nit`` and ``nfev`` equal those of
+    ``minimize(fun, x0, jac=True, method="L-BFGS-B")`` on that row alone, bit
+    for bit.  As in scipy's ``ScalarFunction``, ``fun`` runs at ``x0`` and then
+    whenever ``setulb`` asks for f and g at an ``x`` unequal to the last one
+    evaluated; an equal ``x`` reuses that pair.  ``setulb`` writes into the
+    gradient it is passed on some calls, so the cached one is kept apart.
+
+    With one row, ``fun(x)`` takes the 1-D ``x`` and returns ``(f, grad)``.
+    With ``rows`` = k > 1, ``x0`` holds k witnesses of one length n back to
+    back (scipy's ``minimize`` takes only a 1-D ``x0``), each row with its own
+    ``setulb`` state.  Each step advances every unfinished row until it asks
+    for f and g at a new ``x`` or stops, and then ``fun(x, idx)`` evaluates the
+    asking rows ``idx`` (an index array) at their (len(idx), n) block ``x`` in
+    one call, returning their f values and (len(idx), n) gradients.  ``fun``
+    must not write into ``x``.
+
+    A row's status is 0 on convergence, 1 at ``maxiter`` iterations or past
+    ``_MAXFUN`` evaluations, and 2 when ``setulb`` gives up, as on an abnormal
+    line search; ``row_nit``, ``row_nfev`` and ``row_status`` list them per
+    row.  ``x`` is (k, n) and ``fun`` (k,), or 1-D and a scalar for one row;
+    ``nit`` is the most iterations of any row, ``nfev`` the number of calls
+    of ``fun`` and ``status`` the largest row status, which for one row are
+    scipy's ``nit``, ``nfev`` and ``status``.
     """
     from scipy.optimize import OptimizeResult
 
     setulb = _setulb()
-    x = np.array(x0, dtype=np.float64)
-    n, m = x.size, maxcor
-    seen = x.copy()
-    f_seen, g_seen = fun(seen)
-    nfev, nit = 1, 0
-    f, g = np.array(0.0), np.zeros(n)
-    lower, upper, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, np.int32)
-    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
-    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
-    factr = ftol / np.finfo(float).eps
-    while True:
-        # maxls = 20, scipy's default line-search cap
-        setulb(m, x, lower, upper, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
-        if task[0] == 3:  # f and g wanted at x
-            if not (x == seen).all():
-                seen = x.copy()
-                f_seen, g_seen = fun(seen)
-                nfev += 1
-            f = f_seen
-            g[:] = g_seen
-        elif task[0] == 1:  # a new iteration
-            nit += 1
-            if nit >= maxiter:
-                task[:] = 5, 504  # stop: iteration cap
-            elif nfev > _MAXFUN:
-                task[:] = 5, 502  # stop: evaluation cap
+    x = np.array(x0, dtype=np.float64).reshape(rows, -1)
+    (k, n), m = x.shape, maxcor
+    seen, f_seen, g_seen = x.copy(), np.zeros(k), np.zeros((k, n))
+
+    def evaluate(asking: list[int]) -> None:
+        if rows == 1:
+            seen[0] = x[0]
+            f_seen[0], g_seen[0] = fun(seen[0])
         else:
-            break
-    if task[0] == 4:  # converged
-        status = 0
-    elif nfev > _MAXFUN or nit >= maxiter:
-        status = 1
-    else:
-        status = 2
-    return OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev, status=status)
+            idx = np.array(asking)
+            seen[idx] = x[idx]
+            f_seen[idx], g_seen[idx] = fun(seen[idx], idx)
+
+    evaluate(list(range(k)))
+    nfev, nit, calls = [1] * k, [0] * k, 1
+    f, g = [0.0] * k, np.zeros((k, n))
+    lower, upper, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
+    wa = np.zeros((k, 2 * m * n + 5 * n + 11 * m * m + 8 * m))
+    iwa = np.zeros((k, 3 * n), np.int32)
+    task, ln_task = np.zeros((k, 2), np.int32), np.zeros((k, 2), np.int32)
+    lsave, isave, dsave = np.zeros((k, 4), np.int32), np.zeros((k, 44), np.int32), np.zeros((k, 29))
+    factr = ftol / np.finfo(float).eps
+    state = list(zip(x, g, seen, wa, iwa, task, lsave, isave, dsave, ln_task))  # row views
+    active = list(range(k))
+    while active:
+        asking = []
+        for i in active:
+            xi, gi, seen_i, wai, iwai, ti, lsi, isi, dsi, lni = state[i]
+            while True:
+                # maxls = 20, scipy's default line-search cap
+                setulb(m, xi, lower, upper, nbd, f[i], gi, factr, gtol, wai, iwai, ti, lsi, isi, dsi, 20, lni)
+                if ti[0] == 3:  # f and g wanted at x
+                    if not (xi == seen_i).all():
+                        asking.append(i)
+                        break
+                    f[i] = f_seen[i]
+                    gi[:] = g_seen[i]
+                elif ti[0] == 1:  # a new iteration
+                    nit[i] += 1
+                    if nit[i] >= maxiter:
+                        ti[:] = 5, 504  # stop: iteration cap
+                    elif nfev[i] > _MAXFUN:
+                        ti[:] = 5, 502  # stop: evaluation cap
+                else:
+                    break
+        if asking:
+            evaluate(asking)
+            calls += 1
+            for i in asking:
+                nfev[i] += 1
+                f[i] = f_seen[i]
+                g[i] = g_seen[i]
+        active = asking
+    status = [0 if task[i, 0] == 4 else 1 if nfev[i] > _MAXFUN or nit[i] >= maxiter else 2 for i in range(k)]
+    one = rows == 1
+    return OptimizeResult(
+        x=x[0] if one else x,
+        fun=f[0] if one else np.array(f),
+        nit=max(nit),
+        nfev=calls,
+        status=max(status),
+        row_nit=nit,
+        row_nfev=nfev,
+        row_status=status,
+    )
 
 
 def coupling_exponent(r: float, a: float) -> float:
@@ -270,65 +318,196 @@ class UncertifiedResultError(RuntimeError):
         return type(self), (self.args[0], self.result)
 
 
-def _soft_abs_max(z: np.ndarray, temp: float) -> tuple[float, np.ndarray]:
-    """Smooth max of |z| by log-sum-exp over +-z; returns value and d/dz weights."""
-    m = float(np.abs(z).max())
+def _soft_abs_max(z: np.ndarray, temp) -> tuple:
+    """Smooth max of |z| along the last axis by log-sum-exp over +-z; returns value and d/dz weights.
+
+    A 1-D z takes a scalar temperature and gives a scalar value; a (k, n)
+    block takes and gives (k, 1) columns, each row exactly as on its own.
+    """
+    block = z.ndim > 1
+    m = np.abs(z).max(axis=-1, keepdims=block)
     ep = z - m
     ep /= temp
-    np.exp(ep, out=ep)
     en = -z
     en -= m
     en /= temp
+    # No lane is below -2m/temp.  exp underflows to +0 below -745.14, and
+    # numpy's exp takes about 4 times as long to get there from a finite
+    # input as from -inf; subnormal results are left to exp.
+    underflow = m > 372.5 * temp
+    if underflow.any() if block else underflow:
+        np.copyto(ep, -np.inf, where=ep < -746.0)
+        np.copyto(en, -np.inf, where=en < -746.0)
+    np.exp(ep, out=ep)
     np.exp(en, out=en)
-    total = float(ep.sum() + en.sum())
+    total = ep.sum(-1, keepdims=block) + en.sum(-1, keepdims=block)
     value = m + temp * np.log(total)
     ep -= en
     ep /= total
     return value, ep
 
 
-def _forward(prob: TikhonovProblem, v: np.ndarray) -> np.ndarray:
-    """F(u_bar + G v) = exp(g_bar + G G v) as values; entries that overflow are inf."""
-    op = prob.forward_problem.op
+def _forward(op: ScaleOperator, g_bar: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """F(u_bar + G v) = exp(g_bar + G G v) as values, along the last axis; entries that overflow are inf."""
     with np.errstate(over="ignore"):
         x = op._apply_values(op._apply_values(v))
-        x += prob.g_bar
+        x += g_bar
         return np.exp(x, out=x)
 
 
 def _evaluate(prob: TikhonovProblem, v: np.ndarray) -> tuple[float, float, float]:
     """The true T at witness v, with its residual and penalty sup norms (T = inf on overflow)."""
     penalty = float(np.max(np.abs(v)))
-    f = _forward(prob, v)
+    f = _forward(prob.forward_problem.op, prob.g_bar, v)
     if not math.isfinite(f.max()):
         return np.inf, np.inf, penalty
     residual = float(np.max(np.abs(f - prob.f_delta.values)))
     return residual**prob.r + prob.alpha * penalty**prob.r, residual, penalty
 
 
+def _chain(s_res, s_pen, alpha, r: float) -> tuple:
+    """The surrogate from its two soft maxima, and its derivatives in them: (value, d/ds_res, d/ds_pen).
+
+    Scalars for one problem.  For (k, 1) columns the value comes as (k,) and
+    the derivatives as (k, 1); each row is computed with numpy's scalar
+    power, as for one problem, since an array power may round differently.
+    """
+    if s_res.ndim == 0:
+        return s_res**r + alpha * s_pen**r, r * s_res ** (r - 1.0), alpha * r * s_pen ** (r - 1.0)
+    terms = np.array([_chain(*row, r) for row in zip(s_res[:, 0], s_pen[:, 0], alpha[:, 0])])
+    return terms[:, 0], terms[:, 1:2], terms[:, 2:3]
+
+
 class SmoothedObjective:
-    """Fixed-temperature smooth surrogate of T over the witness variable."""
+    """Fixed-temperature smooth surrogate of T over the witness variable, for one problem or a block.
 
-    def __init__(self, prob: TikhonovProblem, temps: tuple[float, float]):
-        self.prob = prob
-        self.temp_res, self.temp_pen = temps
+    ``SmoothedObjective(prob, (temp_res, temp_pen))`` evaluates one problem at
+    a 1-D witness.  Given a sequence of k problems on one grid with one r,
+    and k temperature pairs, it evaluates rows of that block
+    at once along the last axis, with f_delta, G u_bar, alpha and the
+    temperatures as per-row columns; each row gets exactly the floats of its
+    own one-problem call.
+    """
 
-    def value_and_grad(self, v: np.ndarray) -> tuple[float, np.ndarray]:
-        prob, op = self.prob, self.prob.forward_problem.op
-        f = _forward(prob, v)
-        # f = exp(...) is >= 0, so its max is finite exactly when every entry is.
-        if not math.isfinite(f.max()):
-            return np.inf, np.zeros_like(v)
-        s_res, w_res = _soft_abs_max(f - prob.f_delta.values, self.temp_res)
-        s_pen, w_pen = _soft_abs_max(v, self.temp_pen)
-        r = prob.r
-        value = s_res**r + prob.alpha * s_pen**r
+    def __init__(self, prob, temps):
+        if isinstance(prob, TikhonovProblem):
+            self.op, self.r = prob.forward_problem.op, prob.r
+            self.f_delta, self.g_bar, self.alpha = prob.f_delta.values, prob.g_bar, prob.alpha
+            self.temp_res, self.temp_pen = temps
+            return
+        probs = tuple(prob)
+        self.op, self.r = probs[0].forward_problem.op, probs[0].r
+        if any(p.forward_problem.op != self.op or p.r != self.r for p in probs):
+            raise ValueError("a block of problems must share the grid and r")
+        self.f_delta = np.array([p.f_delta.values for p in probs])
+        self.g_bar = np.array([p.g_bar for p in probs])
+        self.alpha = np.array([[p.alpha] for p in probs])
+        self.temp_res, self.temp_pen = np.array(temps, dtype=float).T[..., np.newaxis]
+
+    def value_and_grad(self, v: np.ndarray, rows: np.ndarray | None = None) -> tuple:
+        """The surrogate and its gradient: one problem at a 1-D v, or block rows at a (j, n) v.
+
+        ``rows`` indexes the block's rows that v holds, all of them when None.
+        A row whose forward map overflows gets value inf and gradient 0.
+        """
+        op, r = self.op, self.r
+        f_delta, g_bar, alpha, temp_res, temp_pen = (
+            (self.f_delta, self.g_bar, self.alpha, self.temp_res, self.temp_pen)
+            if rows is None
+            else (self.f_delta[rows], self.g_bar[rows], self.alpha[rows], self.temp_res[rows], self.temp_pen[rows])
+        )
+        f = _forward(op, g_bar, v)
+        # f = exp(...) is >= 0, so a row's max is finite exactly when every entry is.
+        if v.ndim == 1:
+            if not math.isfinite(f.max()):
+                return np.inf, np.zeros_like(v)
+        elif not (finite := np.isfinite(f.max(axis=-1))).all():
+            value, grad = np.full(len(v), np.inf), np.zeros_like(v)
+            if finite.any():
+                rows = np.arange(len(v)) if rows is None else rows
+                value[finite], grad[finite] = self.value_and_grad(v[finite], rows[finite])
+            return value, grad
+        s_res, w_res = _soft_abs_max(f - f_delta, temp_res)
+        s_pen, w_pen = _soft_abs_max(v, temp_pen)
+        value, c_res, c_pen = _chain(s_res, s_pen, alpha, r)
         w_res *= f
         grad = op._apply_adjoint_values(op._apply_adjoint_values(w_res))
-        grad *= r * s_res ** (r - 1.0)
-        w_pen *= prob.alpha * r * s_pen ** (r - 1.0)
+        grad *= c_res
+        w_pen *= c_pen
         grad += w_pen
         return value, grad
+
+
+def _descend(probs: list[TikhonovProblem], starts: list[np.ndarray], temps: list[tuple[float, float]], max_iter: int) -> list[np.ndarray]:
+    """One annealing stage: L-BFGS on each problem's surrogate from its start; the iterates, in order.
+
+    All problems descend in one call of ``_lbfgs`` with ``method=_lbfgsb``,
+    in lockstep as rows of one block; one problem is the case of one row,
+    at 1-D witnesses.  Where ``_setulb`` finds another signature, each problem
+    runs scipy's ``jac=True, method="L-BFGS-B"`` in turn, with the same iterates.
+    """
+    options = {"maxiter": max_iter, "ftol": 1e-16, "gtol": 1e-12, "maxcor": 20}
+    if not _setulb():
+        return [
+            _lbfgs(SmoothedObjective(prob, t).value_and_grad, v, jac=True, method="L-BFGS-B", options=options).x
+            for prob, v, t in zip(probs, starts, temps)
+        ]
+    if len(probs) == 1:
+        surrogate, x0 = SmoothedObjective(probs[0], temps[0]), starts[0]
+    else:
+        surrogate, x0 = SmoothedObjective(probs, temps), np.concatenate(starts)
+        options["rows"] = len(probs)
+    return list(_lbfgs(surrogate.value_and_grad, x0, method=_lbfgsb, options=options).x.reshape(len(probs), -1))
+
+
+def minimize_many(
+    probs: Sequence[TikhonovProblem],
+    fam: RegularizerFamily,
+    u_true_for_certificate: GridFunction,
+    max_iter: int = 300,
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> list[MinimizeResult]:
+    """``minimize`` for each of the problems, which share the grid and r, in one lockstep block.
+
+    Each annealing stage descends all problems together (``_descend``): one
+    evaluation of the surrogate per step serves every problem that asks for
+    one.  Each result equals, bit for bit, what ``minimize`` gives for its
+    problem alone, and an uncertified one is returned with
+    ``certified=False`` instead of raised.
+    """
+    probs = list(probs)
+    _load_lbfgs()
+    scored = []
+    for prob in probs:
+        beta = prob.alpha ** coupling_exponent(prob.r, prob.a)
+        aux = auxiliary_element(fam, beta, u_true_for_certificate, prob.u_bar_witness, prob.a, cfg)
+        anchor = np.array(aux.witness.values)
+        scored.append([(_evaluate(prob, anchor), anchor)])
+    floor = 1e-12
+    for rel in ANNEAL_TEMPS:
+        temps = [
+            (rel * max(residual, floor), rel * max(penalty, floor, 1e-3 * residual))
+            for (_, residual, penalty), _ in (candidates[-1] for candidates in scored)
+        ]
+        iterates = _descend(probs, [candidates[-1][1] for candidates in scored], temps, max_iter)
+        for prob, candidates, v in zip(probs, scored, iterates):
+            candidates.append((_evaluate(prob, v), v))
+    return [_certify(prob, candidates) for prob, candidates in zip(probs, scored)]
+
+
+def _certify(prob: TikhonovProblem, scored: list) -> MinimizeResult:
+    """The best of the scored candidates, certified against the anchor's score (the first)."""
+    bound = scored[0][0][0]
+    (obj, residual, penalty), best_v = min(scored, key=lambda sv: sv[0][0])
+    return MinimizeResult(
+        u_min=GridFunction(prob.u_bar.values + prob.forward_problem.op._apply_values(best_v)),
+        v_min=GridFunction(best_v),
+        objective=obj,
+        residual=residual,
+        penalty=penalty,
+        certificate_bound=bound,
+        certified=obj <= bound * (1.0 + CERTIFICATE_RTOL),
+    )
 
 
 def minimize(
@@ -350,46 +529,17 @@ def minimize(
     behind ``objective``; the anchor's score is the certificate bound, and
     the result is the argmin of the scores, so its objective never exceeds
     the bound.  The solve is deterministic: ``seed`` is accepted for call
-    compatibility and unused.  Each descent calls scipy's ``minimize``
-    through the module attribute ``_lbfgs``, which the first solve binds
+    compatibility and unused.  This is ``minimize_many`` on one problem, a
+    block of one row.  Each descent calls scipy's ``minimize`` through the
+    module attribute ``_lbfgs``, which the first solve binds
     (``_load_lbfgs``) unless a function was put there before it.  It passes
     ``method=_lbfgsb``, the in-module loop around scipy's ``setulb``, or,
     where ``_setulb`` finds another signature, ``jac=True,
     method="L-BFGS-B"``; both take the same iterates.
     """
-    kap = coupling_exponent(prob.r, prob.a)
-    beta = prob.alpha**kap
-    aux = auxiliary_element(fam, beta, u_true_for_certificate, prob.u_bar_witness, prob.a, cfg)
-
-    _load_lbfgs()
-    driver = {"method": _lbfgsb} if _setulb() else {"jac": True, "method": "L-BFGS-B"}
-    anchor = np.array(aux.witness.values)
-    scored = [(_evaluate(prob, anchor), anchor)]
-    for rel in ANNEAL_TEMPS:
-        (_, residual, penalty), v = scored[-1]
-        floor = 1e-12
-        temps = (rel * max(residual, floor), rel * max(penalty, floor, 1e-3 * residual))
-        sol = _lbfgs(
-            SmoothedObjective(prob, temps).value_and_grad,
-            v,
-            **driver,
-            options={"maxiter": max_iter, "ftol": 1e-16, "gtol": 1e-12, "maxcor": 20},
-        )
-        scored.append((_evaluate(prob, sol.x), sol.x))
-    bound = scored[0][0][0]
-    (obj, residual, penalty), best_v = min(scored, key=lambda sv: sv[0][0])
-    certified = obj <= bound * (1.0 + CERTIFICATE_RTOL)
-    result = MinimizeResult(
-        u_min=GridFunction(prob.u_bar.values + prob.forward_problem.op._apply_values(best_v)),
-        v_min=GridFunction(best_v),
-        objective=obj,
-        residual=residual,
-        penalty=penalty,
-        certificate_bound=bound,
-        certified=certified,
-    )
-    if not certified:
+    (result,) = minimize_many([prob], fam, u_true_for_certificate, max_iter, cfg)
+    if not result.certified:
         raise UncertifiedResultError(
-            f"objective {obj} exceeds the certificate bound {bound}", result
+            f"objective {result.objective} exceeds the certificate bound {result.certificate_bound}", result
         )
     return result

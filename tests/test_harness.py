@@ -277,25 +277,28 @@ OPERATOR_SUITES = ("fracpow-check", "decay-check", "aux-rates", "nonlinearity-ch
 
 
 def test_rate_study_pool_matches_serial(monkeypatch):
-    # Two workers and one worker (solves in this process) give the same bytes.
-    force_workers(monkeypatch, 2)
-    pooled = run_rate_study(fast_config(n_seeds=2), timestamp="fixed")
+    # Four workers, two workers and one worker (one block in this process) give the same bytes.
     force_workers(monkeypatch, 1)
     serial = run_rate_study(fast_config(n_seeds=2), timestamp="fixed")
-    assert pooled.to_csv() == serial.to_csv()
-    assert pooled.to_json() == serial.to_json()
+    for workers in (2, 4):
+        force_workers(monkeypatch, workers)
+        pooled = run_rate_study(fast_config(n_seeds=2), timestamp="fixed")
+        assert pooled.to_csv() == serial.to_csv()
+        assert pooled.to_json() == serial.to_json()
 
 
-def _slow_first_draw(study, i, j):
-    # Earlier tasks sleep longer, so workers finish them out of submission order;
-    # the draw encodes its task, and ties in error keep the first draw of a level.
+def _slow_first_group(study, tasks):
+    # Groups that start with an earlier task sleep longer, so workers finish them
+    # out of submission order; each draw encodes its task, and ties in error keep
+    # the first draw of a level.
+    i, j = tasks[0]
     time.sleep(0.02 * (len(study.alphas) * study.cfg.n_seeds - (i * study.cfg.n_seeds + j)))
-    return (float(i + 1), float(j), 0.0), True
+    return [((float(i + 1), float(j), 0.0), True) for i, j in tasks]
 
 
 def test_rate_study_pool_keeps_submission_order(monkeypatch):
     force_workers(monkeypatch, 4)
-    monkeypatch.setattr(harness, "_solve_draw", _slow_first_draw)
+    monkeypatch.setattr(harness, "_solve_group", _slow_first_group)
     report = run_rate_study(fast_config(n_seeds=2))
     assert [(r.error_sup, r.residual) for r in report.rows] == [(1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)]
 
@@ -306,7 +309,7 @@ def _failing_minimize(*args, **kwargs):
 
 def test_rate_study_worker_error_reaches_caller(monkeypatch, tmp_path, capsys):
     force_workers(monkeypatch, 2)
-    monkeypatch.setattr(harness, "minimize", _failing_minimize)
+    monkeypatch.setattr(harness, "minimize_many", _failing_minimize)
     with pytest.raises(QuadratureError, match="quadrature failed in process") as info:
         run_rate_study(fast_config())
     assert str(info.value) != f"quadrature failed in process {os.getpid()}"  # raised in a worker
@@ -377,8 +380,8 @@ def _bundled_blas_threads() -> int:
     return getter()
 
 
-def _blas_threads_draw(study, i, j):
-    return (float(_bundled_blas_threads()), float(os.getpid()), 0.0), True
+def _blas_threads_group(study, tasks):
+    return [((float(_bundled_blas_threads()), float(os.getpid()), 0.0), True) for _ in tasks]
 
 
 def _blas_threads_suite(cfg):
@@ -390,7 +393,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     # Each worker, of a study or of the suites, holds scipy's OpenBLAS to one thread; the caller's is untouched.
     before = _bundled_blas_threads()
     force_workers(monkeypatch, 2)
-    monkeypatch.setattr(harness, "_solve_draw", _blas_threads_draw)
+    monkeypatch.setattr(harness, "_solve_group", _blas_threads_group)
     report = run_rate_study(fast_config())
     assert [row.error_sup for row in report.rows] == [1.0] * 4
     assert os.getpid() not in {row.residual for row in report.rows}
@@ -469,7 +472,7 @@ def test_run_suite_runs_rate_study_in_caller(monkeypatch):
     monkeypatch.setattr(harness, "_pool_map", caller_pool_map)
     results = run_suite(["decay-check", "rate-study"], fast_config())
     assert [r.name for r in results] == ["decay-check", "rate-study"]
-    assert pools == [["decay-check"], [(0, 0), (1, 0), (2, 0), (3, 0)]]
+    assert pools == [["decay-check"], [[(0, 0), (2, 0)], [(1, 0), (3, 0)]]]  # the study's tasks in two groups
 
 
 def test_rate_study_beta_column(study_hoelder_p1):

@@ -140,11 +140,11 @@ import numpy as np
 import oversmooth as ov
 from oversmooth import harness
 
-def probe_draw(study, i, j):
-    return (float("scipy.optimize" in sys.modules), float(os.getpid()), 0.0), True
+def probe_group(study, tasks):
+    return [((float("scipy.optimize" in sys.modules), float(os.getpid()), 0.0), True) for _ in tasks]
 
 harness._worker_count = lambda n_tasks: min(2, n_tasks)
-harness._solve_draw = probe_draw
+harness._solve_group = probe_group
 before = "scipy.optimize" in sys.modules
 cfg = ov.ExperimentConfig(grid_n=64, delta_list=tuple(np.geomspace(1e-1, 1e-3, 4)), n_seeds=1)
 rows = ov.run_rate_study(cfg).rows

@@ -126,6 +126,9 @@ def test_block_primitives_match_rows(n, k, quad):
     applied = op._apply_values(block)
     assert applied.shape == (k, n)
     assert all(np.array_equal(applied[i], op._apply_values(block[i])) for i in range(k))
+    adjoint = op._apply_adjoint_values(block)
+    assert adjoint.shape == (k, n)
+    assert all(np.array_equal(adjoint[i], op._apply_adjoint_values(block[i])) for i in range(k))
     for beta in (1e-4, 1e-2, 1.0):
         solved = op._solve_values(beta, block)
         assert solved.shape == (k, n)

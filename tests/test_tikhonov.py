@@ -9,6 +9,7 @@ from oversmooth import (
     NoiseSpec,
     ParamChoice,
     RegularizerFamily,
+    ScaleOperator,
     TikhonovProblem,
     UncertifiedResultError,
     add_noise,
@@ -307,8 +308,8 @@ def test_value_and_grad_is_the_plain_formula(op256, quad, r):
 DESCENT_OPTIONS = {"ftol": 1e-16, "gtol": 1e-12, "maxcor": 20}
 
 
-def descent_case(op, case, r):
-    """A surrogate from v = 0 at n = 64 that shows ``case``, and the iteration cap to run it with."""
+def descent_problem(op, case, r):
+    """A problem and surrogate temperatures for a descent from v = 0 that shows ``case``, and its iteration cap."""
     problem = make_problem(op, make_truth("low_order", op))
     if case == "overflow":  # data near 1e10: the line search steps far enough for exp to overflow
         prob = TikhonovProblem(problem, GridFunction(np.full(op.n, 1e10)), 0.1, GridFunction.zeros(op.n), 1e-3, r=r)
@@ -317,7 +318,13 @@ def descent_case(op, case, r):
         delta, alpha, maxiter = {"capped": (1e-2, 1e-2**r, 20), "converged": (1e-2, 1e3, 300), "re-request": (1e-3, 1e-3**r, 300)}[case]
         prob = make_prob(problem, delta, alpha, r=r)
     residual = tikhonov._evaluate(prob, np.zeros(op.n))[1]
-    return SmoothedObjective(prob, (0.1 * residual, 1e-4 * residual)).value_and_grad, maxiter
+    return prob, (0.1 * residual, 1e-4 * residual), maxiter
+
+
+def descent_case(op, case, r):
+    """A surrogate from v = 0 at n = 64 that shows ``case``, and the iteration cap to run it with."""
+    prob, temps, maxiter = descent_problem(op, case, r)
+    return SmoothedObjective(prob, temps).value_and_grad, maxiter
 
 
 @pytest.mark.skipif(tikhonov._setulb() is None, reason="scipy's setulb has another signature")
@@ -356,6 +363,116 @@ def test_lbfgsb_loop_matches_scipy_driver(op64, monkeypatch, case, r):
         assert np.inf in values
     else:  # the x0 evaluation answers the first request; more requests than that reused an unchanged x
         assert sum(requests) > got.nfev
+
+
+@pytest.mark.skipif(tikhonov._setulb() is None, reason="scipy's setulb has another signature")
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_lockstep_rows_match_their_own_descents(op64, r):
+    # Three rows descend as one block under one cap: one converges before it,
+    # one is capped, and one's line search meets an overflow.  Each row takes
+    # the iterates and counts of scipy's driver on that row alone.
+    setups = [descent_problem(op64, case, r)[:2] for case in ("converged", "capped", "overflow")]
+    block = SmoothedObjective(*zip(*setups))
+    options = {"maxiter": 20, **DESCENT_OPTIONS}
+    overflowed = []
+
+    def recording(x, rows):
+        values, grads = block.value_and_grad(x, rows)
+        overflowed.extend(rows[values == np.inf].tolist())
+        return values, grads
+
+    got = scipy.optimize.minimize(recording, np.zeros(3 * op64.n), method=tikhonov._lbfgsb, options={**options, "rows": 3})
+    assert got.x.shape == (3, op64.n)
+    for i, (prob, temps) in enumerate(setups):
+        fun = SmoothedObjective(prob, temps).value_and_grad
+        want = scipy.optimize.minimize(fun, np.zeros(op64.n), jac=True, method="L-BFGS-B", options=options)
+        assert got.x[i].tobytes() == want.x.tobytes()
+        assert got.fun[i] == want.fun
+        assert (got.row_nit[i], got.row_nfev[i], got.row_status[i]) == (want.nit, want.nfev, want.status)
+    assert got.row_status[:2] == [0, 1] and got.row_nit[0] < 20 == got.row_nit[1]
+    assert set(overflowed) == {2}
+    assert (got.nit, got.status) == (20, 1) and max(got.row_nfev) <= got.nfev < sum(got.row_nfev)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("n", [64, 257])
+def test_block_objective_rows_match_one_row_calls(n, k, r, quad):
+    # Each row of a (k, n) block, and of a block of some of its rows, gets exactly
+    # the floats of its one-problem call; an overflowing row gets (inf, 0) and
+    # leaves the other rows alone.  Row 0's temperatures put most soft-max lanes
+    # below exp's underflow.
+    op = ScaleOperator(n)
+    problem = make_problem(op, make_truth("hoelder", op, p=0.5, cfg=quad))
+    rng = np.random.default_rng(10 * n + k)
+    probs = [
+        TikhonovProblem(
+            forward_problem=problem,
+            f_delta=add_noise(problem.f_true, NoiseSpec(0.05, "random_sign", i)),
+            delta=0.05,
+            u_bar_witness=GridFunction(rng.uniform(-0.5, 0.5, n) if i % 2 else np.zeros(n)),
+            alpha=10.0 ** -(i % 4 + 1),
+            r=r,
+        )
+        for i in range(k)
+    ]
+    temps = [((1e-4, 1e-1, 1e-2)[i % 3], (1e-3, 1e-2, 1e-1)[i % 3]) for i in range(k)]
+    block = SmoothedObjective(probs, temps)
+    v = rng.uniform(-1.0, 1.0, (k, n))
+    overflow = v.copy()
+    overflow[k // 2] = 1e4
+    for witnesses in (v, overflow):
+        kept = witnesses.copy()
+        values, grads = block.value_and_grad(witnesses)
+        assert values.shape == (k,) and grads.shape == (k, n)
+        for i, (prob, t) in enumerate(zip(probs, temps)):
+            value, grad = SmoothedObjective(prob, t).value_and_grad(witnesses[i])
+            assert values[i] == value
+            assert np.array_equal(grads[i], grad)
+        rows = np.arange(k)[::-2]
+        some_values, some_grads = block.value_and_grad(witnesses[rows], rows)
+        assert np.array_equal(some_values, values[rows]) and np.array_equal(some_grads, grads[rows])
+        assert np.array_equal(witnesses, kept)
+    assert values[k // 2] == np.inf and not grads[k // 2].any()
+    assert np.isfinite(np.delete(values, k // 2)).all()
+
+
+def test_soft_abs_max_underflowing_lanes_match_exp():
+    # Lanes sent to -inf before exp are ones exp takes to +0 anyway: lanes from
+    # -760 to 0 temperatures below the max, subnormal results included, give the
+    # floats of the plain formula, for one vector and as a row of a block.
+    z = np.linspace(-1.0, 1.0, 40001)
+    temp = 1.0 / 380.0
+    ep, en = np.exp((z - 1.0) / temp), np.exp((-z - 1.0) / temp)
+    assert 0.0 < ep[ep > 0.0].min() < np.finfo(float).tiny  # subnormal lanes
+    total = float(np.sum(ep) + np.sum(en))
+    want_value, want_weights = 1.0 + temp * np.log(total), (ep - en) / total
+    value, weights = tikhonov._soft_abs_max(z, temp)
+    assert value == want_value and np.array_equal(weights, want_weights)
+    values, block = tikhonov._soft_abs_max(np.array([z, 0.5 * z]), np.array([[temp], [1.0]]))
+    assert values[0, 0] == want_value and np.array_equal(block[0], want_weights)
+    assert np.array_equal(block[1], tikhonov._soft_abs_max(0.5 * z, 1.0)[1])
+
+
+@pytest.mark.parametrize("driver", ["loop", "scipy"])
+def test_minimize_many_matches_one_by_one(op64, quad, monkeypatch, driver):
+    # Three problems solved as one block give each problem's own minimize result,
+    # bit for bit, also where setulb has another signature and rows descend in turn.
+    if driver == "scipy":
+        monkeypatch.setattr(tikhonov, "_setulb", lambda: None)
+    u_true = make_truth("hoelder", op64, p=0.5, cfg=quad)
+    problem, fam = make_problem(op64, u_true), RegularizerFamily(op64, m=2)
+    probs = [make_prob(problem, delta, delta**1.5, seed=i) for i, delta in enumerate((1e-1, 1e-2, 1e-3))]
+    got = tikhonov.minimize_many(probs, fam, u_true, max_iter=60)
+    for prob, res in zip(probs, got):
+        try:
+            want = minimize(prob, fam, u_true, max_iter=60)
+        except UncertifiedResultError as exc:
+            want = exc.result
+        for field in ("u_min", "v_min"):
+            assert getattr(res, field).values.tobytes() == getattr(want, field).values.tobytes()
+        for field in ("objective", "residual", "penalty", "certificate_bound", "certified"):
+            assert getattr(res, field) == getattr(want, field)
 
 
 def test_minimize_falls_back_to_scipy_driver(setup, monkeypatch):
