@@ -106,34 +106,34 @@ def _setulb():
 
 
 def _lbfgsb(fun, x0, args, jac, hess, hessp, bounds, constraints, callback, maxiter, ftol, gtol, maxcor, rows=1):
-    """Unbounded L-BFGS-B from ``x0``: scipy 1.17's ``_minimize_lbfgsb`` loop around ``setulb``, on one row or several in lockstep.
+    """Unbounded L-BFGS-B: scipy 1.17's ``_minimize_lbfgsb`` loop around ``setulb``, for one row or several in lockstep.
 
     A custom ``method`` for scipy's ``minimize``, which passes ``args``
     through ``callback``; descents leave them unset, and an option other
     than the five named raises a TypeError.  The calls and arguments are
-    scipy's, so each row's ``x``, ``fun``, ``nit`` and ``nfev`` equal those of
-    ``minimize(fun, x0, jac=True, method="L-BFGS-B")`` on that row alone, bit
-    for bit.  As in scipy's ``ScalarFunction``, ``fun`` runs at ``x0`` and then
-    whenever ``setulb`` asks for f and g at an ``x`` unequal to the last one
-    evaluated; an equal ``x`` reuses that pair.  ``setulb`` writes into the
-    gradient it is passed on some calls, so the cached one is kept apart.
+    scipy's, so each row's ``x``, ``fun``, ``nit``, ``nfev`` and status equal
+    those of ``minimize(fun, x0, jac=True, method="L-BFGS-B")`` on that row
+    alone, bit for bit.  As in scipy's ``ScalarFunction``, a row is evaluated
+    at its start and then whenever ``setulb`` asks for f and g at an ``x``
+    unequal to the last one evaluated; an equal ``x`` reuses that pair.
+    ``setulb`` writes into the gradient it is passed on some calls, so the
+    cached one is kept apart.
 
     With one row, ``fun(x)`` takes the 1-D ``x`` and returns ``(f, grad)``.
     With ``rows`` = k > 1, ``x0`` holds k witnesses of one length n back to
     back (scipy's ``minimize`` takes only a 1-D ``x0``), each row with its own
     ``setulb`` state.  Each step advances every unfinished row until it asks
-    for f and g at a new ``x`` or stops, and then ``fun(x, idx)`` evaluates the
-    asking rows ``idx`` (an index array) at their (len(idx), n) block ``x`` in
-    one call, returning their f values and (len(idx), n) gradients.  ``fun``
-    must not write into ``x``.
+    for a new evaluation or stops; then ``fun(x, idx)`` evaluates the asking
+    rows ``idx`` at their (len(idx), n) block ``x`` in one call and returns
+    their f values and gradients.  ``fun`` must not write into ``x``.
 
     A row's status is 0 on convergence, 1 at ``maxiter`` iterations or past
     ``_MAXFUN`` evaluations, and 2 when ``setulb`` gives up, as on an abnormal
-    line search; ``row_nit``, ``row_nfev`` and ``row_status`` list them per
-    row.  ``x`` is (k, n) and ``fun`` (k,), or 1-D and a scalar for one row;
-    ``nit`` is the most iterations of any row, ``nfev`` the number of calls
-    of ``fun`` and ``status`` the largest row status, which for one row are
-    scipy's ``nit``, ``nfev`` and ``status``.
+    line search.  The result holds ``x`` and ``fun`` (1-D and a scalar for one
+    row, else (k, n) and (k,)); ``row_nit``, ``row_nfev`` and ``row_status``;
+    ``nit``, the most iterations of any row; ``nfev``, the calls of ``fun``;
+    and ``status``, the largest row status.  For one row the last three are
+    scipy's.
     """
     from scipy.optimize import OptimizeResult
 

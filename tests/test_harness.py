@@ -291,8 +291,8 @@ def _slow_first_group(study, tasks):
     # Groups that start with an earlier task sleep longer, so workers finish them
     # out of submission order; each draw encodes its task, and ties in error keep
     # the first draw of a level.
-    i, j = tasks[0]
-    time.sleep(0.02 * (len(study.alphas) * study.cfg.n_seeds - (i * study.cfg.n_seeds + j)))
+    first_i, first_j = tasks[0]
+    time.sleep(0.02 * (len(study.alphas) * study.cfg.n_seeds - (first_i * study.cfg.n_seeds + first_j)))
     return [((float(i + 1), float(j), 0.0), True) for i, j in tasks]
 
 

@@ -437,12 +437,14 @@ def test_block_objective_rows_match_one_row_calls(n, k, r, quad):
     assert np.isfinite(np.delete(values, k // 2)).all()
 
 
-def test_soft_abs_max_underflowing_lanes_match_exp():
+@pytest.mark.parametrize("temp", [1.0 / 380.0, 1.0 / 740.0])
+def test_soft_abs_max_underflowing_lanes_match_exp(temp):
     # Lanes sent to -inf before exp are ones exp takes to +0 anyway: lanes from
-    # -760 to 0 temperatures below the max, subnormal results included, give the
-    # floats of the plain formula, for one vector and as a row of a block.
+    # 0 down to -2/temp temperatures below the max (1 here), subnormal results
+    # included, give the floats of the plain formula, for one vector and as a
+    # row of a block.  At temp = 1/740 the lanes near z = 0 are subnormal on
+    # both sides, so their weights are too.
     z = np.linspace(-1.0, 1.0, 40001)
-    temp = 1.0 / 380.0
     ep, en = np.exp((z - 1.0) / temp), np.exp((-z - 1.0) / temp)
     assert 0.0 < ep[ep > 0.0].min() < np.finfo(float).tiny  # subnormal lanes
     total = float(np.sum(ep) + np.sum(en))
@@ -452,6 +454,8 @@ def test_soft_abs_max_underflowing_lanes_match_exp():
     values, block = tikhonov._soft_abs_max(np.array([z, 0.5 * z]), np.array([[temp], [1.0]]))
     assert values[0, 0] == want_value and np.array_equal(block[0], want_weights)
     assert np.array_equal(block[1], tikhonov._soft_abs_max(0.5 * z, 1.0)[1])
+    if temp < 1.0 / 720.0:
+        assert np.abs(weights[weights != 0.0]).min() < np.finfo(float).tiny
 
 
 @pytest.mark.parametrize("driver", ["loop", "scipy"])
