@@ -148,8 +148,8 @@ def _lbfgsb(fun, x0, args, jac, hess, hessp, bounds, constraints, callback, maxi
             f_seen[0], g_seen[0] = fun(seen[0])
         else:
             idx = np.array(asking)
-            seen[idx] = x[idx]
-            f_seen[idx], g_seen[idx] = fun(seen[idx], idx)
+            seen[idx] = block = x[idx]
+            f_seen[idx], g_seen[idx] = fun(block, idx)
 
     evaluate(list(range(k)))
     nfev, nit, calls = [1] * k, [0] * k, 1
@@ -369,12 +369,14 @@ def _chain(s_res, s_pen, alpha, r: float) -> tuple:
     """The surrogate from its two soft maxima, and its derivatives in them: (value, d/ds_res, d/ds_pen).
 
     Scalars for one problem.  For (k, 1) columns the value comes as (k,) and
-    the derivatives as (k, 1); each row is computed with numpy's scalar
-    power, as for one problem, since an array power may round differently.
+    the derivatives as (k, 1); each row is computed from Python floats with
+    C's ``pow``, as numpy's scalar power computes one problem's, since an
+    array power may round differently.
     """
-    if s_res.ndim == 0:
+    if not isinstance(s_res, np.ndarray):
         return s_res**r + alpha * s_pen**r, r * s_res ** (r - 1.0), alpha * r * s_pen ** (r - 1.0)
-    terms = np.array([_chain(*row, r) for row in zip(s_res[:, 0], s_pen[:, 0], alpha[:, 0])])
+    rows = zip(s_res.ravel().tolist(), s_pen.ravel().tolist(), alpha.ravel().tolist())
+    terms = np.array([_chain(*row, r) for row in rows])
     return terms[:, 0], terms[:, 1:2], terms[:, 2:3]
 
 
