@@ -198,7 +198,7 @@ def _draw_problem(study: _Study, i: int, j: int) -> TikhonovProblem:
 
 
 def _solve_group(study: _Study, tasks: Sequence[tuple[int, int]]) -> list[tuple[tuple[float, float, float], bool]]:
-    """Solve the (level i, draw j) tasks as one lockstep block: ((sup-norm error, residual, penalty), certified) each."""
+    """Solve the (level, draw) tasks as one lockstep block: ((sup-norm error, residual, penalty), certified) each."""
     probs = [_draw_problem(study, i, j) for i, j in tasks]
     solved = minimize_many(probs, study.fam, study.u_true, max_iter=study.cfg.max_iter, cfg=study.quad)
     return [(((res.u_min - study.u_true).sup_norm(), res.residual, res.penalty), res.certified) for res in solved]

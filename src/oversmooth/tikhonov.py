@@ -440,7 +440,9 @@ class SmoothedObjective:
         return value, grad
 
 
-def _descend(probs: list[TikhonovProblem], starts: list[np.ndarray], temps: list[tuple[float, float]], max_iter: int) -> list[np.ndarray]:
+def _descend(
+    probs: list[TikhonovProblem], starts: list[np.ndarray], temps: list[tuple[float, float]], max_iter: int
+) -> list[np.ndarray]:
     """One annealing stage: L-BFGS on each problem's surrogate from its start; the iterates, in order.
 
     All problems descend in one call of ``_lbfgs`` with ``method=_lbfgsb``,

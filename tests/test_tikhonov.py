@@ -381,7 +381,8 @@ def test_lockstep_rows_match_their_own_descents(op64, r):
         overflowed.extend(rows[values == np.inf].tolist())
         return values, grads
 
-    got = scipy.optimize.minimize(recording, np.zeros(3 * op64.n), method=tikhonov._lbfgsb, options={**options, "rows": 3})
+    x0 = np.zeros(3 * op64.n)
+    got = scipy.optimize.minimize(recording, x0, method=tikhonov._lbfgsb, options={**options, "rows": 3})
     assert got.x.shape == (3, op64.n)
     for i, (prob, temps) in enumerate(setups):
         fun = SmoothedObjective(prob, temps).value_and_grad
