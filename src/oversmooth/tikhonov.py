@@ -325,7 +325,7 @@ def _soft_abs_max(z: np.ndarray, temp) -> tuple:
     block takes and gives (k, 1) columns, each row exactly as on its own.
     """
     block = z.ndim > 1
-    m = np.abs(z).max(axis=-1, keepdims=block)
+    m = np.abs(z).max(-1, keepdims=True) if block else float(np.abs(z).max())
     ep = z - m
     ep /= temp
     en = -z
@@ -333,14 +333,14 @@ def _soft_abs_max(z: np.ndarray, temp) -> tuple:
     en /= temp
     # No lane is below -2m/temp.  exp underflows to +0 below -745.14, and
     # numpy's exp takes about 4 times as long to get there from a finite
-    # input as from -inf; subnormal results are left to exp.
-    underflow = m > 372.5 * temp
-    if underflow.any() if block else underflow:
+    # input as from -inf; subnormal results are left to exp.  A block is
+    # gated on its largest m/temp, one scalar, as one vector is.
+    if (max((m / temp).ravel().tolist()) if block else m / temp) > 372.5:
         np.copyto(ep, -np.inf, where=ep < -746.0)
         np.copyto(en, -np.inf, where=en < -746.0)
     np.exp(ep, out=ep)
     np.exp(en, out=en)
-    total = ep.sum(-1, keepdims=block) + en.sum(-1, keepdims=block)
+    total = ep.sum(-1, keepdims=True) + en.sum(-1, keepdims=True) if block else float(ep.sum() + en.sum())
     value = m + temp * np.log(total)
     ep -= en
     ep /= total
@@ -371,12 +371,17 @@ def _chain(s_res, s_pen, alpha, r: float) -> tuple:
     Scalars for one problem.  For (k, 1) columns the value comes as (k,) and
     the derivatives as (k, 1); each row is computed from Python floats with
     C's ``pow``, as numpy's scalar power computes one problem's, since an
-    array power may round differently.
+    array power may round differently.  A Python float power raises where
+    numpy's gives inf (a finite s_res near 1e200 at r = 2), so then the
+    block's rows are taken as numpy scalars, exactly as one problem's are.
     """
     if not isinstance(s_res, np.ndarray):
         return s_res**r + alpha * s_pen**r, r * s_res ** (r - 1.0), alpha * r * s_pen ** (r - 1.0)
-    rows = zip(s_res.ravel().tolist(), s_pen.ravel().tolist(), alpha.ravel().tolist())
-    terms = np.array([_chain(*row, r) for row in rows])
+    try:
+        rows = zip(s_res.ravel().tolist(), s_pen.ravel().tolist(), alpha.ravel().tolist())
+        terms = np.array([_chain(*row, r) for row in rows])
+    except ArithmeticError:
+        terms = np.array([_chain(*row, r) for row in zip(s_res[:, 0], s_pen[:, 0], alpha[:, 0])])
     return terms[:, 0], terms[:, 1:2], terms[:, 2:3]
 
 

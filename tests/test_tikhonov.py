@@ -402,7 +402,8 @@ def test_block_objective_rows_match_one_row_calls(n, k, r, quad):
     # Each row of a (k, n) block, and of a block of some of its rows, gets exactly
     # the floats of its one-problem call; an overflowing row gets (inf, 0) and
     # leaves the other rows alone.  Row 0's temperatures put most soft-max lanes
-    # below exp's underflow.
+    # below exp's underflow.  A large row's forward map peaks near 1e200, finite,
+    # so at r = 2 its value's power overflows to inf, on its own and in the block.
     op = ScaleOperator(n)
     problem = make_problem(op, make_truth("hoelder", op, p=0.5, cfg=quad))
     rng = np.random.default_rng(10 * n + k)
@@ -420,15 +421,20 @@ def test_block_objective_rows_match_one_row_calls(n, k, r, quad):
     temps = [((1e-4, 1e-1, 1e-2)[i % 3], (1e-3, 1e-2, 1e-1)[i % 3]) for i in range(k)]
     block = SmoothedObjective(probs, temps)
     v = rng.uniform(-1.0, 1.0, (k, n))
-    overflow = v.copy()
+    overflow, large = v.copy(), v.copy()
     overflow[k // 2] = 1e4
-    for witnesses in (v, overflow):
+    large[k // 2] = 921.0
+    f_large = tikhonov._forward(op, probs[k // 2].g_bar, large[k // 2])
+    assert np.isfinite(f_large).all() and 1e199 < f_large.max() < 1e201
+    for witnesses in (v, large, overflow):
         kept = witnesses.copy()
         values, grads = block.value_and_grad(witnesses)
         assert values.shape == (k,) and grads.shape == (k, n)
         for i, (prob, t) in enumerate(zip(probs, temps)):
             value, grad = SmoothedObjective(prob, t).value_and_grad(witnesses[i])
             assert values[i] == value
+            if witnesses is large and i == k // 2:
+                assert (value == np.inf) == (r == 2.0)
             assert np.array_equal(grads[i], grad)
         rows = np.arange(k)[::-2]
         some_values, some_grads = block.value_and_grad(witnesses[rows], rows)
