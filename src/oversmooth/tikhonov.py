@@ -377,8 +377,8 @@ def _chain(s_res, s_pen, alpha, r: float) -> tuple:
     """
     if not isinstance(s_res, np.ndarray):
         return s_res**r + alpha * s_pen**r, r * s_res ** (r - 1.0), alpha * r * s_pen ** (r - 1.0)
+    rows = zip(s_res.ravel().tolist(), s_pen.ravel().tolist(), alpha.ravel().tolist())
     try:
-        rows = zip(s_res.ravel().tolist(), s_pen.ravel().tolist(), alpha.ravel().tolist())
         terms = np.array([_chain(*row, r) for row in rows])
     except ArithmeticError:
         terms = np.array([_chain(*row, r) for row in zip(s_res[:, 0], s_pen[:, 0], alpha[:, 0])])
