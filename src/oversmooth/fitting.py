@@ -21,7 +21,7 @@ class SlopeFit(NamedTuple):
 def fit_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:
     """Ordinary least squares of log(y) against log(x).
 
-    Requires at least three strictly positive (x, y) pairs.
+    Requires at least three strictly positive (x, y) pairs, with at least two distinct x values.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
@@ -29,6 +29,8 @@ def fit_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:
     if any(x <= 0.0 or y <= 0.0 for x, y in pts):
         raise ValueError("slope fitting needs strictly positive points")
     lx = np.log([x for x, _ in pts])
+    if (lx == lx[0]).all():
+        raise ValueError("slope fitting needs at least two distinct x values")
     ly = np.log([y for _, y in pts])
     lx_c = lx - lx.mean()
     slope = float(np.dot(lx_c, ly - ly.mean()) / np.dot(lx_c, lx_c))

@@ -76,6 +76,10 @@ GROWTH_BOUND = 0.5
 # tail below tail_tol outright.
 _TAIL_MARGIN = math.log(8.0)
 
+#: Most quadrature nodes over the widest range (q_eff = 0.1 or 0.9), about 11.1 log(8 / tail_tol) / step: the
+#: default takes 3.5k and tail_tol = 1e-300 154k, and at 1e6 a kernel's node arrays take about 50 MB.
+_MAX_QUADRATURE_NODES = 1_000_000
+
 
 class QuadratureError(RuntimeError):
     """Raised when the fractional-power quadrature produces non-finite values."""
@@ -96,7 +100,8 @@ class QuadratureConfig:
     prefactors.  The tail guarantee therefore covers fractional orders inside
     the clamp range [0.1, 0.9]; outside it the truncation degrades gracefully.
     ``log_smooth_element`` also takes its q-grid from ``step`` and its
-    truncation point from ``tail_tol``.
+    truncation point from ``tail_tol``.  A pair that needs more than
+    ``_MAX_QUADRATURE_NODES`` nodes over the widest range is rejected.
     """
 
     step: float = 0.05
@@ -107,6 +112,9 @@ class QuadratureConfig:
             raise ValueError("quadrature step must be positive and finite")
         if not (math.isfinite(self.tail_tol) and self.tail_tol > 0.0):
             raise ValueError("tail tolerance must be positive and finite")
+        t_min, t_max = self.bounds_for(0.1)  # the widest range
+        if (nodes := (t_max - t_min) / self.step) > _MAX_QUADRATURE_NODES:
+            raise ValueError(f"quadrature step and tail_tol need {nodes:.3g} nodes, over {_MAX_QUADRATURE_NODES:.0e}")
 
     def bounds_for(self, q: float) -> tuple[float, float]:
         q_eff = min(max(q, 0.1), 0.9)

@@ -268,17 +268,17 @@ def test_criterion_10_minimizer_sanity(op64, quad):
         u_bar_witness=u_bar_w,
         alpha=0.1,
     )
-    surrogate = SmoothedObjective(prob, (0.05, 0.02))
+    surrogate = SmoothedObjective([prob], [(0.05, 0.02)])  # a block of one row
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(10):
-        v = rng.uniform(-1.0, 1.0, 64)
+        v = rng.uniform(-1.0, 1.0, (1, 64))
         d = rng.standard_normal(64)
         d /= np.linalg.norm(d)
-        _, grad = surrogate.value_and_grad(v)
+        _, (grad,) = surrogate.value_and_grad(v)
         t = 1e-6
-        fp, _ = surrogate.value_and_grad(v + t * d)
-        fm, _ = surrogate.value_and_grad(v - t * d)
+        (fp,), _ = surrogate.value_and_grad(v + t * d)
+        (fm,), _ = surrogate.value_and_grad(v - t * d)
         worst = max(worst, abs((fp - fm) / (2.0 * t) - grad @ d) / max(abs(grad @ d), 1e-10))
     grad_ok = worst <= 1e-5
     report(

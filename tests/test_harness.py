@@ -38,6 +38,12 @@ def test_fit_slope_exact_line():
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
+def test_fit_slope_rejects_one_distinct_x():
+    # Equal x values leave the slope undefined: an error, not a NaN fit and a RuntimeWarning.
+    with pytest.raises(ValueError, match="two distinct x values"):
+        fit_slope([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)])
+
+
 def test_fit_slope_scaled_power():
     deltas = np.geomspace(1e-1, 1e-4, 6)
     fit = fit_slope([(d, 3.0 * d**0.5) for d in deltas])
@@ -172,6 +178,7 @@ BAD_CONFIG_LINES = {
     "quad_step = nan": "finite",
     "tail_tol = nan": "finite",
     "tail_tol = inf": "finite",
+    "quad_step = 1e-9": "need 1.77e+11 nodes, over 1e+06",  # 1.8e11 nodes: numpy would ask for hundreds of GiB
     "max_iter = 0": "max_iter must be at least 1",
     "max_iter = -1": "max_iter must be at least 1",
     "seed = -1": "seed must be non-negative",

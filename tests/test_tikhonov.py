@@ -235,16 +235,16 @@ def test_smoothed_gradient_matches_finite_differences(op64, quad):
     u_true = make_truth("hoelder", op64, p=1.0, cfg=quad)
     problem = make_problem(op64, u_true)
     prob = make_prob(problem, 0.1, 0.1, seed=1)
-    surrogate = SmoothedObjective(prob, (0.05, 0.02))
+    surrogate = SmoothedObjective([prob], [(0.05, 0.02)])  # a block of one row
     rng = np.random.default_rng(5)
     for _ in range(10):
-        v = rng.uniform(-1.0, 1.0, 64)
+        v = rng.uniform(-1.0, 1.0, (1, 64))
         d = rng.standard_normal(64)
         d /= np.linalg.norm(d)
-        _, grad = surrogate.value_and_grad(v)
+        _, (grad,) = surrogate.value_and_grad(v)
         t = 1e-6
-        fp, _ = surrogate.value_and_grad(v + t * d)
-        fm, _ = surrogate.value_and_grad(v - t * d)
+        (fp,), _ = surrogate.value_and_grad(v + t * d)
+        (fm,), _ = surrogate.value_and_grad(v - t * d)
         fd = (fp - fm) / (2.0 * t)
         exact = float(grad @ d)
         assert abs(fd - exact) <= 1e-5 * max(abs(exact), 1e-10)
@@ -252,8 +252,9 @@ def test_smoothed_gradient_matches_finite_differences(op64, quad):
 
 @pytest.mark.parametrize("r", [1.0, 2.0])
 def test_value_and_grad_is_the_plain_formula(op256, quad, r):
-    # The in-place evaluation must give exactly the floats of the out-of-place
-    # formula written out here, the overflow return included, and leave v alone.
+    # The in-place evaluation of a block of one row must give exactly the floats
+    # of the out-of-place formula written out here, the overflow return
+    # included, and leave v alone.
     op = op256
     u_true = make_truth("hoelder", op, p=1.0, cfg=quad)
     problem = make_problem(op, u_true)
@@ -266,7 +267,8 @@ def test_value_and_grad_is_the_plain_formula(op256, quad, r):
         alpha=0.01,
         r=r,
     )
-    surrogate = SmoothedObjective(prob, (0.03, 0.01))
+    temp_res, temp_pen = 0.03, 0.01
+    surrogate = SmoothedObjective([prob], [(temp_res, temp_pen)])
 
     def soft_abs_max(z, temp):
         m = float(np.max(np.abs(z)))
@@ -286,8 +288,8 @@ def test_value_and_grad_is_the_plain_formula(op256, quad, r):
             f = np.exp(prob.g_bar + op._apply_values(op._apply_values(v)))
         if not np.all(np.isfinite(f)):
             return np.inf, np.zeros_like(v)
-        s_res, w_res = soft_abs_max(f - prob.f_delta.values, surrogate.temp_res)
-        s_pen, w_pen = soft_abs_max(v, surrogate.temp_pen)
+        s_res, w_res = soft_abs_max(f - prob.f_delta.values, temp_res)
+        s_pen, w_pen = soft_abs_max(v, temp_pen)
         value = s_res**r + prob.alpha * s_pen**r
         back = adjoint(adjoint(f * w_res))
         return value, r * s_res ** (r - 1.0) * back + prob.alpha * r * s_pen ** (r - 1.0) * w_pen
@@ -296,7 +298,7 @@ def test_value_and_grad_is_the_plain_formula(op256, quad, r):
     assert plain(overflow)[0] == np.inf
     for v in (*rng.uniform(-1.0, 1.0, (5, op.n)), overflow):
         kept = v.copy()
-        value, grad = surrogate.value_and_grad(v)
+        (value,), (grad,) = surrogate.value_and_grad(v[np.newaxis])
         want_value, want_grad = plain(v)
         assert value == want_value
         assert np.array_equal(grad, want_grad)
@@ -321,21 +323,22 @@ def descent_problem(op, case, r):
     return prob, (0.1 * residual, 1e-4 * residual), maxiter
 
 
-def descent_case(op, case, r):
-    """A surrogate from v = 0 at n = 64 that shows ``case``, and the iteration cap to run it with."""
-    prob, temps, maxiter = descent_problem(op, case, r)
-    return SmoothedObjective(prob, temps).value_and_grad, maxiter
+def one_row(prob, temps):
+    """The surrogate of one problem, a block of one row, as a function of its 1-D witness for scipy's driver."""
+    block = SmoothedObjective([prob], [temps])
+    return lambda x: [out[0] for out in block.value_and_grad(x[np.newaxis])]
 
 
 @pytest.mark.skipif(tikhonov._setulb() is None, reason="scipy's setulb has another signature")
 @pytest.mark.parametrize("r", [1.0, 2.0])
 @pytest.mark.parametrize("case", ["capped", "converged", "overflow", "re-request"])
 def test_lbfgsb_loop_matches_scipy_driver(op64, monkeypatch, case, r):
-    # The loop must take scipy's iterates bit for bit and count as scipy does.
-    fun, maxiter = descent_case(op64, case, r)
+    # The loop must take scipy's iterates bit for bit and count as scipy does,
+    # on one problem, a block of one row.
+    prob, temps, maxiter = descent_problem(op64, case, r)
     options = {"maxiter": maxiter, **DESCENT_OPTIONS}
     x0 = np.zeros(op64.n)
-    want = scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", options=options)
+    want = scipy.optimize.minimize(one_row(prob, temps), x0, jac=True, method="L-BFGS-B", options=options)
 
     setulb, requests, values = tikhonov._setulb(), [], []
 
@@ -343,15 +346,19 @@ def test_lbfgsb_loop_matches_scipy_driver(op64, monkeypatch, case, r):
         setulb(*args)
         requests.append(args[11][0] == 3)  # task: f and g wanted
 
-    def recording(x):
-        value, grad = fun(x)
-        values.append(value)
+    block = SmoothedObjective([prob], [temps])
+
+    def recording(x, rows):
+        assert rows is None and x.shape == (1, op64.n)  # the only row asks
+        value, grad = block.value_and_grad(x, rows)
+        values.extend(value.tolist())
         return value, grad
 
     monkeypatch.setattr(tikhonov, "_setulb", lambda: counting_setulb)
     got = scipy.optimize.minimize(recording, x0, method=tikhonov._lbfgsb, options=options)
-    assert got.x.tobytes() == want.x.tobytes()
-    assert got.fun == want.fun
+    assert got.x.shape == (1, op64.n) and got.fun.shape == (1,)
+    assert got.x[0].tobytes() == want.x.tobytes()
+    assert got.fun[0] == want.fun
     assert (got.nit, got.nfev, got.status) == (want.nit, want.nfev, want.status)
     assert len(values) == got.nfev
     # Each case shows what it is named for.
@@ -378,14 +385,14 @@ def test_lockstep_rows_match_their_own_descents(op64, r):
 
     def recording(x, rows):
         values, grads = block.value_and_grad(x, rows)
-        overflowed.extend(rows[values == np.inf].tolist())
+        overflowed.extend((np.arange(3) if rows is None else rows)[values == np.inf].tolist())
         return values, grads
 
     x0 = np.zeros(3 * op64.n)
     got = scipy.optimize.minimize(recording, x0, method=tikhonov._lbfgsb, options={**options, "rows": 3})
     assert got.x.shape == (3, op64.n)
     for i, (prob, temps) in enumerate(setups):
-        fun = SmoothedObjective(prob, temps).value_and_grad
+        fun = one_row(prob, temps)
         want = scipy.optimize.minimize(fun, np.zeros(op64.n), jac=True, method="L-BFGS-B", options=options)
         assert got.x[i].tobytes() == want.x.tobytes()
         assert got.fun[i] == want.fun
@@ -400,7 +407,7 @@ def test_lockstep_rows_match_their_own_descents(op64, r):
 @pytest.mark.parametrize("n", [64, 257])
 def test_block_objective_rows_match_one_row_calls(n, k, r, quad):
     # Each row of a (k, n) block, and of a block of some of its rows, gets exactly
-    # the floats of its one-problem call; an overflowing row gets (inf, 0) and
+    # the floats of its own block of one; an overflowing row gets (inf, 0) and
     # leaves the other rows alone.  Row 0's temperatures put most soft-max lanes
     # below exp's underflow.  A large row's forward map peaks near 1e200, finite,
     # so at r = 2 its value's power overflows to inf, on its own and in the block.
@@ -431,7 +438,7 @@ def test_block_objective_rows_match_one_row_calls(n, k, r, quad):
         values, grads = block.value_and_grad(witnesses)
         assert values.shape == (k,) and grads.shape == (k, n)
         for i, (prob, t) in enumerate(zip(probs, temps)):
-            value, grad = SmoothedObjective(prob, t).value_and_grad(witnesses[i])
+            (value,), (grad,) = SmoothedObjective([prob], [t]).value_and_grad(witnesses[i : i + 1])
             assert values[i] == value
             if witnesses is large and i == k // 2:
                 assert (value == np.inf) == (r == 2.0)
