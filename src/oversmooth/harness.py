@@ -360,9 +360,9 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     such as a ``QuadratureError``, reaches the caller with its type.  The
     pool is ``_pool_map``'s, and a pool worker cannot start one, so the study
     never runs in a worker: ``run_suite`` runs it in the caller, after its
-    pooled suites.  scipy's optimizer, which the solver loads on its first
-    solve, is loaded in this process before the pool forks, so each worker
-    inherits it instead of importing it again.
+    pooled suites.  L-BFGS-B's ``setulb``, which the solver loads on its
+    first solve, is loaded in this process before the pool forks, so each
+    worker inherits it instead of loading it again.
     """
     quad = cfg.quadrature()
     op = ScaleOperator(cfg.grid_n)
@@ -376,7 +376,7 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     tasks = [(i, j) for i in range(len(cfg.delta_list)) for j in range(cfg.n_seeds)]
     workers = _worker_count(len(tasks))
     groups = [tasks[w::workers] for w in range(workers)]
-    tikhonov._load_lbfgs()  # before the fork, so the workers inherit scipy's optimizer
+    tikhonov._load_lbfgs()  # before the fork, so the workers inherit the loaded setulb
     solved: list = [None] * len(tasks)
     for w, group in enumerate(_pool_map(lambda group: _solve_group(study, group), groups)):
         solved[w::workers] = group

@@ -80,6 +80,13 @@ _TAIL_MARGIN = math.log(8.0)
 #: default takes 3.5k and tail_tol = 1e-300 154k, and at 1e6 a kernel's node arrays take about 50 MB.
 _MAX_QUADRATURE_NODES = 1_000_000
 
+#: Most kernel work ``log_smooth_element`` takes on: (n - 1) x the kernels it
+#: builds x ``QuadratureConfig.nodes``.  Its time ran 1.0-1.6 ns per unit at
+#: steps 0.001-0.05 on a 2-core Xeon VM (3.6 ns at n=64), so this is 10-16 s;
+#: the default quadrature needs 6.9e7 at n=1025 and 2.8e8 at n=4097, and step
+#: 2e-4 needs 2.8e11 at n=64, about 5 minutes.
+_MAX_LOG_CLASS_WORK = 1e10
+
 
 class QuadratureError(RuntimeError):
     """Raised when the fractional-power quadrature produces non-finite values."""
@@ -101,7 +108,8 @@ class QuadratureConfig:
     the clamp range [0.1, 0.9]; outside it the truncation degrades gracefully.
     ``log_smooth_element`` also takes its q-grid from ``step`` and its
     truncation point from ``tail_tol``.  A pair that needs more than
-    ``_MAX_QUADRATURE_NODES`` nodes over the widest range is rejected.
+    ``_MAX_QUADRATURE_NODES`` nodes over the widest range is rejected, and
+    ``log_smooth_element`` bounds its kernels' total work too.
     """
 
     step: float = 0.05
@@ -112,9 +120,14 @@ class QuadratureConfig:
             raise ValueError("quadrature step must be positive and finite")
         if not (math.isfinite(self.tail_tol) and self.tail_tol > 0.0):
             raise ValueError("tail tolerance must be positive and finite")
-        t_min, t_max = self.bounds_for(0.1)  # the widest range
-        if (nodes := (t_max - t_min) / self.step) > _MAX_QUADRATURE_NODES:
-            raise ValueError(f"quadrature step and tail_tol need {nodes:.3g} nodes, over {_MAX_QUADRATURE_NODES:.0e}")
+        if self.nodes > _MAX_QUADRATURE_NODES:
+            raise ValueError(f"quadrature step and tail_tol need {self.nodes:.3g} nodes, over {_MAX_QUADRATURE_NODES:.0e}")
+
+    @property
+    def nodes(self) -> float:
+        """Quadrature nodes over the widest range, that of q_eff = 0.1."""
+        t_min, t_max = self.bounds_for(0.1)
+        return (t_max - t_min) / self.step
 
     def bounds_for(self, q: float) -> tuple[float, float]:
         q_eff = min(max(q, 0.1), 0.9)
@@ -503,15 +516,23 @@ def log_smooth_element(
     requirement lam > omega (the semigroup growth bound) makes the neglected
     tail geometric; Q is chosen so it stays below the quadrature tail
     tolerance.  The result lies in the domain of log G by construction.
+    Each q-node off the integers needs its own kernel, so a step and tail
+    tolerance whose kernels would take more than ``_MAX_LOG_CLASS_WORK`` are
+    rejected before any is built.
     """
     if lam <= GROWTH_BOUND:
         raise ValueError(f"lam must exceed the growth bound {GROWTH_BOUND}")
     op._check_size(w)
-    wt = op.range_part(w).values
     per_unit = math.ceil(1.0 / cfg.step - 1e-9)
     dq = 1.0 / per_unit
     q_max = -math.log(cfg.tail_tol) / (lam - GROWTH_BOUND)
     m = int(math.ceil(q_max / dq))
+    if (work := (op.n - 1) * (min(per_unit, m + 1) - 1) * cfg.nodes) > _MAX_LOG_CLASS_WORK:
+        raise ValueError(
+            f"log-class quadrature with step {cfg.step:g} and tail_tol {cfg.tail_tol:g} needs {work:.3g} "
+            f"kernel operations at n={op.n}, over {_MAX_LOG_CLASS_WORK:.0e}"
+        )
+    wt = op.range_part(w).values
     weights = np.full(m + 1, dq)
     weights[0] *= 0.5
     weights[-1] *= 0.5

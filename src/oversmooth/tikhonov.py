@@ -10,12 +10,12 @@ replaced by a log-sum-exp surrogate with annealed temperature, each stage
 solved by L-BFGS, and the true nonsmooth T is evaluated at every candidate.
 The forward map exp(G u_bar + G G v) and T are each computed in one place,
 ``_forward`` and ``_evaluate``, shared by the solver, its certificate and ``objective``.
-scipy's optimizer is imported on the first solve, not with this module, so a
-process that only runs the operator tools never loads ``scipy.optimize``.
-Each descent runs scipy's L-BFGS-B routine ``setulb`` from the short loop
-``_lbfgsb``, which takes the same iterates as scipy's "L-BFGS-B" driver without
-that driver's Python wrapper; where ``setulb`` has another signature, descents
-fall back to the driver.  Below ``minimize_many`` the solver's one unit is a
+No scipy Python package is imported: each descent runs L-BFGS-B's routine
+``setulb`` from scipy's ``_lbfgsb`` extension, loaded alone on the first
+solve (``_setulb``), in the short loop ``_lbfgsb``, which takes the same
+iterates as scipy's "L-BFGS-B" driver without that driver's Python wrapper;
+where the extension cannot be loaded or ``setulb`` has another signature,
+descents fall back to the driver.  Below ``minimize_many`` the solver's one unit is a
 block of problems on one grid, and ``minimize`` is a block of one row: the rows
 descend in lockstep, each with its own ``setulb`` state and exactly the floats
 it has alone, and each step evaluates the surrogate once for every row that
@@ -33,10 +33,14 @@ achievable by construction.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import TYPE_CHECKING, Sequence
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,19 +70,26 @@ CERTIFICATE_RTOL = 1e-9
 #: Annealing schedule: temperatures relative to the current max of each term.
 ANNEAL_TEMPS = (1e-1, 1e-2, 1e-3)
 
-#: scipy's ``minimize``, through which every descent runs; bound by ``_load_lbfgs`` on first use.
+#: A function with scipy's ``minimize`` calling convention that receives every
+#: descent; unbound (None), descents call ``_lbfgsb`` directly.  ``_load_lbfgs``
+#: binds scipy's ``minimize`` here only where it is needed.
 _lbfgs = None
 
 
 def _load_lbfgs() -> None:
-    """Import scipy's optimizer and bind it to ``_lbfgs``, unless something is bound there already.
+    """Load ``setulb`` (``_setulb``), and bind scipy's ``minimize`` to an unbound ``_lbfgs`` where it is needed.
 
-    The import costs about 0.3 s and 20 MB, so a process that never solves
-    never pays it.  A function put on ``_lbfgs`` before the first solve, such
+    ``minimize`` is bound only while ``_lbfgs`` is unbound, and only when
+    ``_setulb`` gives None or ``scipy.optimize`` is imported already: the
+    latter for a tracer that imports it and then hooks ``_lbfgs`` by identity
+    with its ``minimize``, which passes the callable method ``_lbfgsb``
+    straight through, so both routes take the same iterates bit for bit.
+    Otherwise no process imports ``scipy.optimize``: importing it costs about
+    0.3 s and 40 MB.  A function put on ``_lbfgs`` before the first solve, such
     as a tracing wrapper, stays in place and receives every descent.
     """
     global _lbfgs
-    if _lbfgs is None:
+    if (_setulb() is None or "scipy.optimize" in sys.modules) and _lbfgs is None:
         from scipy.optimize import minimize
 
         _lbfgs = minimize
@@ -93,24 +104,60 @@ _MAXFUN = 15000
 
 @cache
 def _setulb():
-    """scipy's ``setulb`` if its signature is ``_SETULB_SIGNATURE``, else None.
+    """``setulb`` from scipy's ``_lbfgsb`` extension if its signature is ``_SETULB_SIGNATURE``, else None.
 
-    Older scipy (the Fortran wrapper) and any later change of the routine's
-    arguments give None, and descents then run scipy's own "L-BFGS-B" driver.
+    The file ``scipy/optimize/_lbfgsb<suffix>`` is found through
+    ``find_spec("scipy")``, which imports nothing, and loaded alone by an
+    ``ExtensionFileLoader``, so ``scipy/optimize/__init__`` never runs.  The
+    module is kept out of ``sys.modules``, where the load puts it, so a later
+    ``import scipy.optimize`` loads its own as usual.  A missing file, a failed
+    load, older scipy (the Fortran wrapper) and any later change of the
+    routine's arguments give None, and descents then run scipy's own
+    "L-BFGS-B" driver.
     """
-    try:
-        from scipy.optimize._lbfgsb import setulb
-    except ImportError:
+    spec = importlib.util.find_spec("scipy")
+    pkgs = (spec and spec.submodule_search_locations) or ()
+    files = (Path(pkg, "optimize", "_lbfgsb" + suffix) for pkg in pkgs for suffix in EXTENSION_SUFFIXES)
+    path = next((f for f in files if f.is_file()), None)
+    if path is None:
         return None
+    name = "scipy.optimize._lbfgsb"
+    loaded = sys.modules.get(name)
+    loader = ExtensionFileLoader(name, str(path))
+    try:
+        module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path, loader=loader))
+        loader.exec_module(module)
+        setulb = module.setulb
+    except (ImportError, AttributeError):
+        return None
+    finally:
+        if loaded is None:
+            sys.modules.pop(name, None)
     return setulb if (setulb.__doc__ or "").split("\n", 1)[0] == _SETULB_SIGNATURE else None
 
 
-def _lbfgsb(fun, x0, args, jac, hess, hessp, bounds, constraints, callback, maxiter, ftol, gtol, maxcor, rows=1):
+class _Descent(NamedTuple):
+    """The result of ``_lbfgsb`` (see there)."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    nit: int
+    nfev: int
+    status: int
+    row_nit: list[int]
+    row_nfev: list[int]
+    row_status: list[int]
+
+
+def _lbfgsb(
+    fun, x0, maxiter, ftol, gtol, maxcor, rows=1, args=(), jac=None, hess=None, hessp=None, bounds=None, constraints=(), callback=None
+):
     """Unbounded L-BFGS-B for ``rows`` problems in lockstep: scipy 1.17's ``_minimize_lbfgsb`` loop around ``setulb``.
 
-    A custom ``method`` for scipy's ``minimize``, which passes ``args``
-    through ``callback``; descents leave them unset, and an option other
-    than the five named raises a TypeError.  ``x0`` holds the k = ``rows``
+    Descents call it directly, as ``_lbfgsb(fun, x0, **options)``; it is also
+    a custom ``method`` for scipy's ``minimize``, which passes ``args`` through
+    ``callback``, all left unset by descents; an option other than the five
+    named raises a TypeError.  ``x0`` holds the k = ``rows``
     witnesses of one length n back to back (scipy's ``minimize`` takes only a
     1-D ``x0``), each row with its own ``setulb`` state; one problem is k = 1
     (its evaluations take scalar steps: 139 µs at n=1025, 189 µs as a block).
@@ -129,13 +176,11 @@ def _lbfgsb(fun, x0, args, jac, hess, hessp, bounds, constraints, callback, maxi
 
     A row's status is 0 on convergence, 1 at ``maxiter`` iterations or past
     ``_MAXFUN`` evaluations, and 2 when ``setulb`` gives up, as on an abnormal
-    line search.  The result holds the (k, n) ``x`` and (k,) ``fun``;
+    line search.  The ``_Descent`` holds the (k, n) ``x`` and (k,) ``fun``;
     ``row_nit``, ``row_nfev`` and ``row_status``; ``nit``, the most
     iterations of any row; ``nfev``, the calls of ``fun``; and ``status``,
     the largest row status.  For one row the last three are scipy's.
     """
-    from scipy.optimize import OptimizeResult
-
     setulb = _setulb()
     x = np.array(x0, dtype=np.float64).reshape(rows, -1)
     (k, n), m = x.shape, maxcor
@@ -191,16 +236,7 @@ def _lbfgsb(fun, x0, args, jac, hess, hessp, bounds, constraints, callback, maxi
                 g[i] = g_seen[i]
         active = asking
     status = [0 if task[i, 0] == 4 else 1 if nfev[i] > _MAXFUN or nit[i] >= maxiter else 2 for i in range(k)]
-    return OptimizeResult(
-        x=x,
-        fun=np.array(f),
-        nit=max(nit),
-        nfev=calls,
-        status=max(status),
-        row_nit=nit,
-        row_nfev=nfev,
-        row_status=status,
-    )
+    return _Descent(x, np.array(f), max(nit), calls, max(status), nit, nfev, status)
 
 
 def coupling_exponent(r: float, a: float) -> float:
@@ -409,7 +445,10 @@ class SmoothedObjective:
         """The surrogate at the (j, n) witnesses v of block rows: (j,) values and (j, n) gradients.
 
         ``rows`` indexes the block's rows that v holds, all of them when None.
-        A row whose forward map overflows gets value inf and gradient 0.
+        A row whose forward map overflows gets value inf and gradient 0; one
+        whose forward map is finite but whose value's r-th power overflows
+        gets value inf, with numpy's overflow warnings unless the caller
+        ignores them, as each descent does (``_descend``).
         """
         # f = exp(...) is >= 0, so a row's max is finite exactly when every entry is.
         if len(v) == 1:
@@ -442,20 +481,25 @@ def _descend(
 ) -> list[np.ndarray]:
     """One annealing stage: L-BFGS on each problem's surrogate from its start; the iterates, in order.
 
-    All problems descend in one call of ``_lbfgs`` with ``method=_lbfgsb``, in
-    lockstep as the rows of one block; a lone problem is a block of one, whose
-    evaluations take scalar steps (139 µs at n=1025, 189 µs as a (1, n) block).
-    Where ``_setulb`` finds another signature, each problem runs scipy's
-    ``jac=True, method="L-BFGS-B"`` in turn, with the same iterates, as a
-    block of one behind a 1-D adapter.
+    All problems descend in one ``_lbfgsb`` call, in lockstep as the rows of
+    one block; a lone problem is a block of one, whose evaluations take scalar
+    steps (139 µs at n=1025, 189 µs as a (1, n) block).  The call goes through
+    ``_lbfgs``, with ``method=_lbfgsb``, when a function is bound there.  Where
+    ``_setulb`` gives None, each problem runs scipy's ``jac=True,
+    method="L-BFGS-B"`` through ``_lbfgs`` in turn, with the same iterates, as
+    a block of one behind a 1-D adapter.  Every descent runs under
+    ``np.errstate(over="ignore")``: a row whose forward map is finite but whose
+    r-th power overflows has the surrogate inf, as documented, not a warning.
     """
     surrogate = SmoothedObjective(probs, temps)
     options = {"maxiter": max_iter, "ftol": 1e-16, "gtol": 1e-12, "maxcor": 20}
-    if not _setulb():
-        funs = [lambda x, i=(i,): [y[0] for y in surrogate.value_and_grad(x[np.newaxis], i)] for i in range(len(probs))]
-        return [_lbfgs(fun, v, jac=True, method="L-BFGS-B", options=options).x for fun, v in zip(funs, starts)]
-    options["rows"] = len(probs)
-    return list(_lbfgs(surrogate.value_and_grad, np.concatenate(starts), method=_lbfgsb, options=options).x)
+    with np.errstate(over="ignore"):
+        if not _setulb():
+            funs = [lambda x, i=(i,): [y[0] for y in surrogate.value_and_grad(x[np.newaxis], i)] for i in range(len(probs))]
+            return [_lbfgs(fun, v, jac=True, method="L-BFGS-B", options=options).x for fun, v in zip(funs, starts)]
+        fun, x0, options["rows"] = surrogate.value_and_grad, np.concatenate(starts), len(probs)
+        descent = _lbfgsb(fun, x0, **options) if _lbfgs is None else _lbfgs(fun, x0, method=_lbfgsb, options=options)
+    return list(descent.x)
 
 
 def minimize_many(
@@ -529,9 +573,10 @@ def minimize(
     the bound.  The solve is deterministic: ``seed`` is accepted for call
     compatibility and unused.  This is ``minimize_many`` on a block of one
     row, the solver's one calling convention; its evaluations take the scalar
-    steps, 139 against 189 µs as a (1, n) block at n=1025.  Each descent goes
-    through ``_lbfgs`` (``_descend``), which the first solve binds
-    (``_load_lbfgs``) unless a function was put there before it.
+    steps, 139 against 189 µs as a (1, n) block at n=1025.  Each descent runs
+    ``_lbfgsb`` (``_descend``), through ``_lbfgs`` where a function is bound
+    there: one put there before the first solve, or scipy's ``minimize``
+    where ``_load_lbfgs`` binds it.
     """
     (result,) = minimize_many([prob], fam, u_true_for_certificate, max_iter, cfg)
     if not result.certified:

@@ -210,6 +210,19 @@ def test_cli_rejects_non_finite_quadrature(tmp_path, capsys, line):
     assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and BAD_CONFIG_LINES[line] in err[0]
 
 
+def test_cli_rejects_log_class_quadrature_work(tmp_path, capsys):
+    # The config is valid, and a Hoelder study keeps its step; the low-order truth's
+    # kernels would take minutes, so the study ends before building any.
+    path = tmp_path / "fine.cfg"
+    path.write_text("regime = low_order\nquad_step = 2e-4\ngrid_n = 64\n")
+    assert parse_config_file(path, {"regime": "hoelder"}).quad_step == 2e-4
+    start = time.perf_counter()
+    assert main(["rate-study", "--config", str(path)]) == 2
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: log-class quadrature with step 0.0002") and "over 1e+10" in err[0]
+
+
 @pytest.mark.parametrize("line", ["warm_chaining = true", "n_random_starts = 2"])
 def test_config_file_rejects_removed_solver_keys(tmp_path, line):
     path = tmp_path / "old.cfg"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oversmooth import scale
+from oversmooth import scale, tikhonov
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -48,9 +48,9 @@ problem = ov.make_problem(op, truth)
 f_delta = ov.add_noise(problem.f_true, ov.NoiseSpec(1e-2, "random_sign", 0))
 prob = ov.TikhonovProblem(problem, f_delta, 1e-2, ov.GridFunction.zeros(64), 1e-2)
 try:
-    ov.minimize(prob, ov.RegularizerFamily(op, m=2), truth)
-except ov.UncertifiedResultError:
-    pass
+    result = ov.minimize(prob, ov.RegularizerFamily(op, m=2), truth)
+except ov.UncertifiedResultError as exc:
+    result = exc.result
 """
 
 
@@ -72,7 +72,7 @@ print(json.dumps(sorted(name for name in sys.modules if name.split(".")[:2] == [
 
 
 def test_operator_suites_never_import_scipy_optimize():
-    # Importing scipy.optimize costs about 0.3 s and 20 MB; only a solve needs it (BENCH_setup.json).
+    # Importing scipy.optimize costs about 0.3 s and 40 MB; no part of the package needs it (BENCH_setup.json).
     probe = SUITES + """
 import json
 print(json.dumps("scipy.optimize" in sys.modules))
@@ -98,14 +98,47 @@ print(json.dumps([reports, os.getpid(), "scipy.linalg" in sys.modules]))
     assert [loaded for _, _, loaded in reports] == [False] * 4
 
 
-def test_first_solve_binds_scipy_minimize():
-    probe = "import oversmooth as ov\n" + SOLVE + """
+needs_setulb = pytest.mark.skipif(tikhonov._setulb() is None, reason="L-BFGS-B's setulb cannot be loaded alone")
+
+
+@needs_setulb
+def test_solve_never_imports_scipy_optimize():
+    # A solve loads L-BFGS-B's extension alone: no scipy Python package, and
+    # the module stays out of sys.modules.  A later import of scipy.optimize
+    # still works, and from then on descents go through its minimize, with the
+    # same result.
+    probe = "import sys\nimport oversmooth as ov\nfrom oversmooth import tikhonov\n" + SOLVE + """
 import json
+first = [tikhonov._lbfgs is None, sorted(name for name in sys.modules if name.split(".")[0] == "scipy")]
+import numpy as np
 import scipy.optimize
-from oversmooth import tikhonov
-print(json.dumps(tikhonov._lbfgs is scipy.optimize.minimize))
+
+try:
+    again = ov.minimize(prob, ov.RegularizerFamily(op, m=2), truth)
+except ov.UncertifiedResultError as exc:
+    again = exc.result
+x = scipy.optimize.minimize(lambda x: float(((x - 1.0) ** 2).sum()), np.zeros(3), method="L-BFGS-B").x
+print(json.dumps(first + [
+    tikhonov._lbfgs is scipy.optimize.minimize,
+    again.v_min.values.tobytes() == result.v_min.values.tobytes(),
+    np.allclose(x, 1.0),
+    scipy.optimize._lbfgsb.setulb.__doc__ == tikhonov._setulb().__doc__,
+]))
 """
-    assert run_probe(probe) is True
+    assert run_probe(probe) == [True, [], True, True, True, True]
+
+
+@needs_setulb
+def test_cli_rate_study_never_imports_scipy_optimize():
+    probe = """
+import json
+import sys
+from oversmooth.cli import main
+
+code = main(["rate-study", "--grid-n", "64"])
+print(json.dumps([code in (0, 1), "scipy.optimize" in sys.modules]))
+"""
+    assert run_probe(probe) == [True, False]
 
 
 def test_function_bound_before_first_solve_gets_every_descent():
@@ -130,24 +163,87 @@ print(json.dumps([calls, tikhonov._lbfgs is counting]))
     assert run_probe(probe) == [[[True, 300]] * 3, True]
 
 
-def test_rate_study_loads_optimizer_before_the_pool_forks():
-    # The probe replaces the solve, so a worker can only have scipy.optimize by inheriting it from the caller.
+@needs_setulb
+def test_rate_study_loads_setulb_once_before_the_pool_forks():
+    # The caller loads the extension once, before the fork; each worker finds it
+    # loaded, solves its group without loading it again, and imports no
+    # scipy.optimize, and neither does the caller.
     probe = """
 import json
 import os
 import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import oversmooth as ov
-from oversmooth import harness
+from oversmooth import harness, tikhonov
 
-def probe_group(study, tasks):
-    return [((float("scipy.optimize" in sys.modules), float(os.getpid()), 0.0), True) for _ in tasks]
+loads = []
+
+class CountingLoader(tikhonov.ExtensionFileLoader):
+    def exec_module(self, module):
+        loads.append(os.getpid())
+        super().exec_module(module)
+
+tikhonov.ExtensionFileLoader = CountingLoader
+reports = tempfile.TemporaryDirectory()
+solve_group = harness._solve_group
+
+def reporting(study, tasks):
+    inherited = tikhonov._setulb.cache_info().currsize == 1
+    solved = solve_group(study, tasks)
+    Path(reports.name, str(os.getpid())).write_text(json.dumps([inherited, loads, "scipy.optimize" in sys.modules]))
+    return solved
 
 harness._worker_count = lambda n_tasks: min(2, n_tasks)
-harness._solve_group = probe_group
-before = "scipy.optimize" in sys.modules
+harness._solve_group = reporting
 cfg = ov.ExperimentConfig(grid_n=64, delta_list=tuple(np.geomspace(1e-1, 1e-3, 4)), n_seeds=1)
 rows = ov.run_rate_study(cfg).rows
-print(json.dumps([before, [row.error_sup for row in rows], os.getpid() in {row.residual for row in rows}]))
+workers = {int(f.name): json.loads(f.read_text()) for f in Path(reports.name).iterdir()}
+reports.cleanup()
+print(json.dumps([
+    loads == [os.getpid()],
+    "scipy.optimize" in sys.modules,
+    len(workers),
+    os.getpid() in workers,
+    [report == [True, [os.getpid()], False] for report in workers.values()],
+    len(rows),
+]))
 """
-    assert run_probe(probe) == [False, [1.0] * 4, False]
+    assert run_probe(probe) == [True, False, 2, False, [True, True], 4]
+
+
+@needs_setulb
+def test_descents_are_the_same_with_scipy_optimize_imported_first():
+    # Imported before the first solve, scipy.optimize's minimize is bound and
+    # runs each descent (the route a tracer hooks); otherwise descents call
+    # the loop directly.  Both routes give the same result and the same counts.
+    probe = """
+import hashlib
+import json
+import sys
+import oversmooth as ov
+from oversmooth import tikhonov
+
+if IMPORT_FIRST:
+    import scipy.optimize
+
+descents = []
+loop = tikhonov._lbfgsb
+
+def recording(*args, **kwargs):
+    descent = loop(*args, **kwargs)
+    descents.append([descent.nit, descent.nfev, descent.status, descent.row_nit, descent.row_nfev, descent.row_status])
+    return descent
+
+tikhonov._lbfgsb = recording
+""" + SOLVE + """
+bound = tikhonov._lbfgs is not None and tikhonov._lbfgs.__module__.startswith("scipy.optimize")
+print(json.dumps([bound, hashlib.sha256(result.v_min.values.tobytes()).hexdigest(), result.objective, descents]))
+"""
+    direct = run_probe(probe.replace("IMPORT_FIRST", "False"))
+    through_scipy = run_probe(probe.replace("IMPORT_FIRST", "True"))
+    assert direct[0] is False and through_scipy[0] is True
+    assert direct[1:] == through_scipy[1:]
+    assert len(direct[3]) == 3

@@ -459,6 +459,16 @@ def test_log_smooth_rejects_small_lam(op256, quad):
         log_smooth_element(op256, GridFunction.ones(256), 0.4, quad)
 
 
+def test_log_smooth_bounds_kernel_work(op64):
+    # Step 2e-4 passes the node bound (883k nodes), but the log class would build
+    # 4999 kernels of that size, minutes at n=64: it is rejected before the first.
+    # A Hoelder truth builds one kernel, so it keeps the step.
+    fine = QuadratureConfig(step=2e-4)
+    with pytest.raises(ValueError, match=r"needs 2.78e\+11 kernel operations at n=64, over 1e\+10"):
+        log_smooth_element(op64, GridFunction.ones(64), 2.0, fine)
+    assert op64.power(0.5, GridFunction.ones(64), fine).sup_norm() > 0.0
+
+
 def test_log_smooth_scalar_quadrature_oracle(op256, quad):
     # For the constant witness, node values follow the order-weighted integral
     # of x^q/Gamma(q+1); agreement is limited by the discretization of the

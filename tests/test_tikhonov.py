@@ -402,6 +402,7 @@ def test_lockstep_rows_match_their_own_descents(op64, r):
     assert (got.nit, got.status) == (20, 1) and max(got.row_nfev) <= got.nfev < sum(got.row_nfev)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("r", [1.0, 2.0])
 @pytest.mark.parametrize("k", [1, 3, 8])
 @pytest.mark.parametrize("n", [64, 257])
@@ -411,6 +412,9 @@ def test_block_objective_rows_match_one_row_calls(n, k, r, quad):
     # leaves the other rows alone.  Row 0's temperatures put most soft-max lanes
     # below exp's underflow.  A large row's forward map peaks near 1e200, finite,
     # so at r = 2 its value's power overflows to inf, on its own and in the block.
+    # The surrogate is evaluated as a descent evaluates it, ignoring overflow;
+    # any other floating-point warning fails, and so does an overflow warning
+    # from a descent that starts at the large row.
     op = ScaleOperator(n)
     problem = make_problem(op, make_truth("hoelder", op, p=0.5, cfg=quad))
     rng = np.random.default_rng(10 * n + k)
@@ -435,20 +439,23 @@ def test_block_objective_rows_match_one_row_calls(n, k, r, quad):
     assert np.isfinite(f_large).all() and 1e199 < f_large.max() < 1e201
     for witnesses in (v, large, overflow):
         kept = witnesses.copy()
-        values, grads = block.value_and_grad(witnesses)
-        assert values.shape == (k,) and grads.shape == (k, n)
-        for i, (prob, t) in enumerate(zip(probs, temps)):
-            (value,), (grad,) = SmoothedObjective([prob], [t]).value_and_grad(witnesses[i : i + 1])
-            assert values[i] == value
-            if witnesses is large and i == k // 2:
-                assert (value == np.inf) == (r == 2.0)
-            assert np.array_equal(grads[i], grad)
-        rows = np.arange(k)[::-2]
-        some_values, some_grads = block.value_and_grad(witnesses[rows], rows)
+        with np.errstate(over="ignore"):
+            values, grads = block.value_and_grad(witnesses)
+            assert values.shape == (k,) and grads.shape == (k, n)
+            for i, (prob, t) in enumerate(zip(probs, temps)):
+                (value,), (grad,) = SmoothedObjective([prob], [t]).value_and_grad(witnesses[i : i + 1])
+                assert values[i] == value
+                if witnesses is large and i == k // 2:
+                    assert (value == np.inf) == (r == 2.0)
+                assert np.array_equal(grads[i], grad)
+            rows = np.arange(k)[::-2]
+            some_values, some_grads = block.value_and_grad(witnesses[rows], rows)
         assert np.array_equal(some_values, values[rows]) and np.array_equal(some_grads, grads[rows])
         assert np.array_equal(witnesses, kept)
     assert values[k // 2] == np.inf and not grads[k // 2].any()
     assert np.isfinite(np.delete(values, k // 2)).all()
+    (stuck,) = tikhonov._descend([probs[k // 2]], [large[k // 2]], [temps[k // 2]], max_iter=5)
+    assert np.array_equal(stuck, large[k // 2]) == (r == 2.0)  # an inf start with gradient 0 does not move
 
 
 @pytest.mark.parametrize("temp", [1.0 / 380.0, 1.0 / 740.0])
@@ -506,6 +513,44 @@ def test_minimize_falls_back_to_scipy_driver(setup, monkeypatch):
         return lbfgs(*args, **kwargs)
 
     monkeypatch.setattr(tikhonov, "_setulb", lambda: None)
+    monkeypatch.setattr(tikhonov, "_lbfgs", recording)
+    got = minimize(prob, fam, u_true, max_iter=60)
+    assert methods == ["L-BFGS-B"] * len(ANNEAL_TEMPS)
+    for field in ("u_min", "v_min"):
+        assert getattr(got, field).values.tobytes() == getattr(want, field).values.tobytes()
+    for field in ("objective", "residual", "penalty", "certificate_bound", "certified"):
+        assert getattr(got, field) == getattr(want, field)
+
+
+@pytest.fixture
+def reload_setulb():
+    """Clears ``_setulb``'s cache after a test, so the next call loads the extension again without its patches."""
+    yield
+    tikhonov._setulb.cache_clear()
+
+
+@pytest.mark.parametrize("broken", ["missing extension file", "unloadable file", "other signature"])
+def test_broken_setulb_falls_back_to_scipy_driver(setup, monkeypatch, reload_setulb, broken):
+    # A missing _lbfgsb extension, a file that does not load as one (scipy's
+    # _lbfgsb_py.py) and a setulb with another signature each leave no routine
+    # to loop around: descents run scipy's "L-BFGS-B", with the same result.
+    problem, fam, u_true = setup
+    prob = make_prob(problem, 1e-2, 1e-2, seed=9)
+    want = minimize(prob, fam, u_true, max_iter=60)
+    methods = []
+
+    def recording(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return scipy.optimize.minimize(*args, **kwargs)
+
+    if broken == "missing extension file":
+        monkeypatch.setattr(tikhonov, "EXTENSION_SUFFIXES", [".no-such-extension.so"])
+    elif broken == "unloadable file":
+        monkeypatch.setattr(tikhonov, "EXTENSION_SUFFIXES", ["_py.py"])
+    else:
+        monkeypatch.setattr(tikhonov, "_SETULB_SIGNATURE", "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,csave,lsave,isave,dsave)")
+    tikhonov._setulb.cache_clear()
+    assert tikhonov._setulb() is None
     monkeypatch.setattr(tikhonov, "_lbfgs", recording)
     got = minimize(prob, fam, u_true, max_iter=60)
     assert methods == ["L-BFGS-B"] * len(ANNEAL_TEMPS)
