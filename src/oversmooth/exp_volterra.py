@@ -217,9 +217,7 @@ def nonlinearity_check(
     op = prob.op
     rng = np.random.default_rng(seed)
     f_truth = prob.f_true.values
-    rows = []
-    n_prep = n_a = n_b = 0
-    worst = np.inf
+    theta_norms, delta_norms, prep_margins = np.empty((3, n_samples))
     for start in range(0, n_samples, ROW_BLOCK):
         count = min(ROW_BLOCK, n_samples - start)
         # Draw in the per-sample order (perturbation, then target), so a seed
@@ -237,39 +235,25 @@ def nonlinearity_check(
         delta = prob._forward_values(prob.u_true.values + scale * step) - f_truth
         abs_theta = np.abs(theta)
         abs_delta = np.abs(delta)
-        theta_norms = np.max(abs_theta, axis=1)
-        delta_norms = np.max(abs_delta, axis=1)
-        prep_margins = np.min(abs_theta * abs_delta - np.abs(delta - f_truth * theta), axis=1)
+        block = slice(start, start + count)
+        theta_norms[block] = np.max(abs_theta, axis=1)
+        delta_norms[block] = np.max(abs_delta, axis=1)
+        prep_margins[block] = np.min(abs_theta * abs_delta - np.abs(delta - f_truth * theta), axis=1)
 
-        for r in range(count):
-            theta_norm = float(theta_norms[r])
-            delta_norm = float(delta_norms[r])
-            prep_margin = float(prep_margins[r])
-            ok_prep = prep_margin >= -1e-12
-            margins = [prep_margin]
-            ok_a = True
-            if theta_norm <= rho:
-                a_margin = theta_norm - (1.0 - rho) / prob.c2 * delta_norm
-                ok_a = a_margin >= -1e-12
-                margins.append(a_margin)
-            ok_b = True
-            if delta_norm <= prob.c1 - eps:
-                b_margin = delta_norm - eps * theta_norm
-                ok_b = b_margin >= -1e-12
-                margins.append(b_margin)
-            margin = float(min(margins))
-            worst = min(worst, margin)
-            n_prep += not ok_prep
-            n_a += not ok_a
-            n_b += not ok_b
-            rows.append((start + r, theta_norm, delta_norm, ok_prep, ok_a, ok_b, margin))
+    # An inequality that does not apply to a sample has slack +inf there.
+    a_margins = np.where(theta_norms <= rho, theta_norms - (1.0 - rho) / prob.c2 * delta_norms, np.inf)
+    b_margins = np.where(delta_norms <= prob.c1 - eps, delta_norms - eps * theta_norms, np.inf)
+    ok_prep, ok_a, ok_b = (m >= -1e-12 for m in (prep_margins, a_margins, b_margins))
+    margins = np.minimum(np.minimum(prep_margins, a_margins), b_margins)
+    columns = (theta_norms, delta_norms, ok_prep, ok_a, ok_b, margins)
+    rows = tuple(zip(range(n_samples), *(c.tolist() for c in columns)))
 
     return NonlinearityReport(
         rho=rho,
         eps=eps,
-        rows=tuple(rows),
-        n_prep_fail=n_prep,
-        n_a_fail=n_a,
-        n_b_fail=n_b,
-        worst_margin=float(worst),
+        rows=rows,
+        n_prep_fail=n_samples - int(ok_prep.sum()),
+        n_a_fail=n_samples - int(ok_a.sum()),
+        n_b_fail=n_samples - int(ok_b.sum()),
+        worst_margin=float(margins.min(initial=np.inf)),
     )

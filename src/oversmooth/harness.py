@@ -575,10 +575,19 @@ SUITE_NAMES: dict[str, Callable[[ExperimentConfig], CheckResult]] = {
 }
 
 
+#: Grid size from which ``run_suite`` runs the four operator suites on
+#: the worker pool.  The fork's break-even moves with host load: on 2 CPUs with
+#: warm kernels it lay between n=1025 (pooled 186 ms against 148 ms serial, the
+#: median of 11 interleaved pairs) and n=1281 (131 against 165 ms) in one batch,
+#: and near n=256 in quieter ones.  The threshold sits at the higher one, so no
+#: batch measured the pool slower above it (BENCH_operators.json).
+SUITE_POOL_MIN_N = 1153
+
+
 def run_suite(names: Sequence[str], cfg: ExperimentConfig | None = None) -> list[CheckResult]:
     """Run the named verification suites (all of them when names is empty), results in the order named.
 
-    From grid size ``scale.SUITE_POOL_MIN_N`` on, the operator suites run
+    From grid size ``SUITE_POOL_MIN_N`` on, the operator suites run
     together on the worker pool of ``_pool_map``, one suite per task; below it
     a fork costs more than it saves, and they run in this process.  Either way
     the results are the same, byte for byte.  ``rate-study`` always runs in
@@ -592,7 +601,7 @@ def run_suite(names: Sequence[str], cfg: ExperimentConfig | None = None) -> list
         raise ValueError(f"unknown suite name(s): {', '.join(unknown)}")
 
     def pooled(name: str) -> bool:
-        return name != "rate-study" and cfg.grid_n >= scale.SUITE_POOL_MIN_N
+        return name != "rate-study" and cfg.grid_n >= SUITE_POOL_MIN_N
 
     done = iter(_pool_map(lambda name: SUITE_NAMES[name](cfg), [n for n in picked if pooled(n)]))
     return [next(done) if pooled(n) else SUITE_NAMES[n](cfg) for n in picked]

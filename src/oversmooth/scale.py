@@ -144,14 +144,6 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 #: n=4097 are 256 KB, small enough to stay in cache through a chain of solves.
 ROW_BLOCK = 8
 
-#: Grid size from which ``harness.run_suite`` runs the four operator suites on
-#: the worker pool.  The fork's break-even moves with host load: on 2 CPUs with
-#: warm kernels it lay between n=1025 (pooled 186 ms against 148 ms serial, the
-#: median of 11 interleaved pairs) and n=1281 (131 against 165 ms) in one batch,
-#: and near n=256 in quieter ones.  The threshold sits at the higher one, so no
-#: batch measured the pool slower above it (BENCH_operators.json).
-SUITE_POOL_MIN_N = 1153
-
 
 def split_order(p: float) -> tuple[int, float]:
     """Split an order p >= 0 into its integer part k and fractional residue q = p - k.

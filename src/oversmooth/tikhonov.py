@@ -20,7 +20,7 @@ block of problems on one grid, and ``minimize`` is a block of one row: the rows
 descend in lockstep, each with its own ``setulb`` state and exactly the floats
 it has alone, and each step evaluates the surrogate once for every row that
 asks.  Only ``SmoothedObjective.value_and_grad`` tells one row from many: one
-row takes scalar steps on 1-D arrays, 139 µs at n=1025 against 189 µs as a block.
+row takes scalar steps on 1-D arrays.
 
 Every returned minimizer carries a certificate: its true objective does not
 exceed T at the auxiliary element u_aux(beta) with beta = alpha^kappa,
@@ -159,12 +159,12 @@ def _lbfgsb(
     ``callback``, all left unset by descents; an option other than the five
     named raises a TypeError.  ``x0`` holds the k = ``rows``
     witnesses of one length n back to back (scipy's ``minimize`` takes only a
-    1-D ``x0``), each row with its own ``setulb`` state; one problem is k = 1
-    (its evaluations take scalar steps: 139 µs at n=1025, 189 µs as a block).
-    Each step advances every unfinished row until it asks for a new evaluation
-    or stops; then ``fun(x, idx)`` evaluates the asking rows ``idx`` (None when
-    every row asks) at their (j, n) block ``x`` in one call and returns their
-    (j,) f values and (j, n) gradients.  ``fun`` must not write into ``x``.
+    1-D ``x0``), each row with its own ``setulb`` state; one problem is k = 1,
+    whose evaluations take scalar steps.  Each step advances every unfinished
+    row until it asks for a new evaluation or stops; then ``fun(x, idx)``
+    evaluates the asking rows ``idx`` (None when every row asks) at their
+    (j, n) block ``x`` in one call and returns their (j,) f values and (j, n)
+    gradients.  ``fun`` must not write into ``x``.
 
     The calls and arguments are scipy's, so each row's ``x``, ``fun``,
     ``nit``, ``nfev`` and status equal those of ``minimize(fun, x0, jac=True,
@@ -261,8 +261,7 @@ class TikhonovProblem:
     def __post_init__(self) -> None:
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
-        if self.r <= 0.0 or self.a <= 0.0:
-            raise ValueError("exponents r and a must be positive")
+        coupling_exponent(self.r, self.a)  # raises unless r and a are positive
         if self.delta < 0.0:
             raise ValueError("delta must be nonnegative")
 
@@ -317,8 +316,7 @@ class ParamChoice:
 def choose_alpha(pc: ParamChoice, delta: float, r: float, a: float) -> float:
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    if r <= 0.0 or a <= 0.0:
-        raise ValueError("exponents r and a must be positive")
+    coupling_exponent(r, a)  # raises unless r and a are positive
     if pc.regime == "hoelder":
         if pc.p is None or not 0.0 < pc.p <= 1.0:
             raise ValueError("hoelder rule needs an order p in (0, 1]")
@@ -427,7 +425,8 @@ class SmoothedObjective:
     along the last axis, with f_delta, G u_bar, alpha and the temperatures as
     per-row columns, and each row gets exactly the floats of its block of one.
     A lone row takes the scalar steps, on 1-D arrays and Python floats: on a
-    (1, n) block each step is slower, and an evaluation at n=1025 takes 25-36% longer.
+    (1, n) block each step is slower, and an evaluation at n=1025 takes 25-36% longer
+    (139 µs alone against 189 µs as a block).
     """
 
     def __init__(self, probs: Sequence[TikhonovProblem], temps: Sequence[tuple[float, float]]):
@@ -450,21 +449,21 @@ class SmoothedObjective:
         gets value inf, with numpy's overflow warnings unless the caller
         ignores them, as each descent does (``_descend``).
         """
-        # f = exp(...) is >= 0, so a row's max is finite exactly when every entry is.
         if len(v) == 1:
             f_delta, g_bar, alpha, temp_res, temp_pen = self.row_operands[0 if rows is None else rows[0]]
-            f = _forward(self.op, g_bar, x := v[0])
-            if not math.isfinite(f.max()):
-                return np.array([np.inf]), np.zeros_like(v)
+            x = v[0]
         else:
             f_delta, g_bar, alpha, temp_res, temp_pen = [c if rows is None else c[rows] for c in self.block_operands]
-            f = _forward(self.op, g_bar, x := v)
-            if not (finite := np.isfinite(f.max(axis=-1))).all():
-                value, grad = np.full(len(v), np.inf), np.zeros_like(v)
-                if finite.any():
-                    rows = np.arange(len(v)) if rows is None else rows
-                    value[finite], grad[finite] = self.value_and_grad(v[finite], rows[finite])
-                return value, grad
+            x = v
+        f = _forward(self.op, g_bar, x)
+        # f = exp(...) is >= 0, so its max is finite exactly when every entry of every row is.
+        if not math.isfinite(f.max()):
+            finite = np.isfinite(f.reshape(v.shape).max(axis=-1))
+            value, grad = np.full(len(v), np.inf), np.zeros_like(v)
+            if finite.any():
+                rows = np.arange(len(v)) if rows is None else rows
+                value[finite], grad[finite] = self.value_and_grad(v[finite], rows[finite])
+            return value, grad
         s_res, w_res = _soft_abs_max(f - f_delta, temp_res)
         s_pen, w_pen = _soft_abs_max(x, temp_pen)
         value, c_res, c_pen = _chain(s_res, s_pen, alpha, self.r)
@@ -483,13 +482,13 @@ def _descend(
 
     All problems descend in one ``_lbfgsb`` call, in lockstep as the rows of
     one block; a lone problem is a block of one, whose evaluations take scalar
-    steps (139 µs at n=1025, 189 µs as a (1, n) block).  The call goes through
-    ``_lbfgs``, with ``method=_lbfgsb``, when a function is bound there.  Where
-    ``_setulb`` gives None, each problem runs scipy's ``jac=True,
-    method="L-BFGS-B"`` through ``_lbfgs`` in turn, with the same iterates, as
-    a block of one behind a 1-D adapter.  Every descent runs under
-    ``np.errstate(over="ignore")``: a row whose forward map is finite but whose
-    r-th power overflows has the surrogate inf, as documented, not a warning.
+    steps.  The call goes through ``_lbfgs``, with ``method=_lbfgsb``, when a
+    function is bound there.  Where ``_setulb`` gives None, each problem runs
+    scipy's ``jac=True, method="L-BFGS-B"`` through ``_lbfgs`` in turn, with
+    the same iterates, as a block of one behind a 1-D adapter.  Every descent
+    runs under ``np.errstate(over="ignore")``: a row whose forward map is
+    finite but whose r-th power overflows has the surrogate inf, as
+    documented, not a warning.
     """
     surrogate = SmoothedObjective(probs, temps)
     options = {"maxiter": max_iter, "ftol": 1e-16, "gtol": 1e-12, "maxcor": 20}
@@ -573,10 +572,9 @@ def minimize(
     the bound.  The solve is deterministic: ``seed`` is accepted for call
     compatibility and unused.  This is ``minimize_many`` on a block of one
     row, the solver's one calling convention; its evaluations take the scalar
-    steps, 139 against 189 µs as a (1, n) block at n=1025.  Each descent runs
-    ``_lbfgsb`` (``_descend``), through ``_lbfgs`` where a function is bound
-    there: one put there before the first solve, or scipy's ``minimize``
-    where ``_load_lbfgs`` binds it.
+    steps.  Each descent runs ``_lbfgsb`` (``_descend``), through ``_lbfgs``
+    where a function is bound there: one put there before the first solve, or
+    scipy's ``minimize`` where ``_load_lbfgs`` binds it.
     """
     (result,) = minimize_many([prob], fam, u_true_for_certificate, max_iter, cfg)
     if not result.certified:

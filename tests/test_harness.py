@@ -282,11 +282,43 @@ def test_low_order_study_needs_three_levels(deltas, tmp_path, capsys):
     assert capsys.readouterr().out.strip().splitlines()[-1] == "[rate-study] FAIL"
 
 
-def test_low_order_fixture_report_unchanged(study_low_order):
-    # The three-level rule leaves the default eight-level study's report as it was, byte for byte.
-    assert study_low_order.passed
-    digest = hashlib.sha256(study_low_order.to_json().encode()).hexdigest()
-    assert digest == "709f33cad878d2999c12b70177dbaafacf8aeda3ea849f4e1d58da4b4eb5ef87"
+#: sha256 of each session fixture's CSV and JSON report (conftest.py, timestamp "fixed").
+FIXTURE_DIGESTS = {
+    "study_hoelder_p1": (
+        "4c307b17d6694880856366d20b3113991ee804474767a76551fed673a3328963",
+        "b5f4f49b48ea247b104f31fca1b50793cbc32e58e4ef0d5bdc95c5e8e0d02f61",
+    ),
+    "study_hoelder_p05": (
+        "1972103459c2ba887893c202b57a324a20f015b8f165404efe3dc014b41fee32",
+        "958363782da4f463646fe15863f068e10c8c74bed746b9b601d28c318f572b33",
+    ),
+    "study_low_order": (
+        "9a308980514d39d9c165c48c6ac59a11054f2c56333f2dc34bb999826dfc2fe5",
+        "709f33cad878d2999c12b70177dbaafacf8aeda3ea849f4e1d58da4b4eb5ef87",
+    ),
+    "study_none": (
+        "d742eb45b0e25dfad246ee81e28e26855ffae7f9bcada48d54af673ed32e2d18",
+        "b49374f2bfbe5133fc94cf9a8c2066fbe1a1c883013ed49d2aeb1552988c62d9",
+    ),
+    "study_hoelder_p1_n128": (
+        "d302f70fe8eeff61e4171954eab52ef9806dc8f4f4d239a8b6b43d9b67259d84",
+        "5b9dba93a26be96a5166133fb3c056e0f694838e4955e9917268820af2b6b221",
+    ),
+    "study_hoelder_p05_n128": (
+        "3e733ccd985f21917f1475111aa4a61c855ddc1d070913ce659d59f8f27c8dba",
+        "45c4984b81fd380cf86a067c05b43c73ddc8b5a5adf67b9f76f901ea93339938",
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_DIGESTS)
+def test_fixture_reports_unchanged(fixture, request):
+    # Every session study reports the same bytes as before, CSV and JSON, and so
+    # the same verdict, which the JSON holds; a change to the solver, the
+    # operators or the serializer that moves one bit of any of them fails here.
+    report = request.getfixturevalue(fixture)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (report.to_csv(), report.to_json()))
+    assert digests == FIXTURE_DIGESTS[fixture]
 
 
 def force_workers(monkeypatch, n):
@@ -418,7 +450,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     assert [row.error_sup for row in report.rows] == [1.0] * 4
     assert os.getpid() not in {row.residual for row in report.rows}
 
-    monkeypatch.setattr(scale, "SUITE_POOL_MIN_N", 0)
+    monkeypatch.setattr(harness, "SUITE_POOL_MIN_N", 0)
     for name in OPERATOR_SUITES:
         monkeypatch.setitem(SUITE_NAMES, name, _blas_threads_suite)
     results = run_suite(OPERATOR_SUITES, fast_config())
@@ -433,7 +465,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
 def pool_suites(monkeypatch):
     """Two workers, and the operator suites pooled at every grid size."""
     force_workers(monkeypatch, 2)
-    monkeypatch.setattr(scale, "SUITE_POOL_MIN_N", 0)
+    monkeypatch.setattr(harness, "SUITE_POOL_MIN_N", 0)
 
 
 @pytest.mark.parametrize("n", [65, 129])
@@ -567,6 +599,24 @@ def test_cli_decay_check(capsys, tmp_path):
     assert code == 0
     assert "[decay-check] PASS" in out
     assert (tmp_path / "decay_p0.5.csv").exists()
+
+
+def test_cli_bad_out_fails_before_any_suite(monkeypatch, tmp_path, capsys):
+    # An --out that cannot be made a directory exits 2 with one error line, before any suite runs.
+    monkeypatch.setitem(SUITE_NAMES, "fracpow-check", lambda cfg: pytest.fail("suite started"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["fracpow-check", "--grid-n", "64", "--out", str(taken)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(taken) in err
+    # So does an artifact that cannot be written, after the suite's lines.
+    monkeypatch.setitem(SUITE_NAMES, "fracpow-check", lambda cfg: CheckResult("fracpow-check", True, (), {"sub": ""}))
+    (tmp_path / "sub").mkdir()
+    assert main(["fracpow-check", "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "[fracpow-check] PASS\n" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(tmp_path / "sub") in err
 
 
 def test_cli_nonlinearity(capsys):

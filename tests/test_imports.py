@@ -27,14 +27,14 @@ POOLED_SUITES = """
 import os
 import sys
 import oversmooth as ov
-from oversmooth import harness, scale
+from oversmooth import harness
 
 def reporting(suite):
     return lambda cfg: (suite(cfg).name, os.getpid(), "scipy.linalg" in sys.modules)
 
 names = ("fracpow-check", "decay-check", "aux-rates", "nonlinearity-check")
 harness._worker_count = lambda n_tasks: min(2, n_tasks)
-scale.SUITE_POOL_MIN_N = 0
+harness.SUITE_POOL_MIN_N = 0
 for name in names:
     harness.SUITE_NAMES[name] = reporting(harness.SUITE_NAMES[name])
 reports = ov.run_suite(names, ov.ExperimentConfig(grid_n=65))

@@ -409,7 +409,8 @@ def test_lockstep_rows_match_their_own_descents(op64, r):
 def test_block_objective_rows_match_one_row_calls(n, k, r, quad):
     # Each row of a (k, n) block, and of a block of some of its rows, gets exactly
     # the floats of its own block of one; an overflowing row gets (inf, 0) and
-    # leaves the other rows alone.  Row 0's temperatures put most soft-max lanes
+    # leaves the other rows alone, and when every row overflows each gets
+    # (inf, 0).  Row 0's temperatures put most soft-max lanes
     # below exp's underflow.  A large row's forward map peaks near 1e200, finite,
     # so at r = 2 its value's power overflows to inf, on its own and in the block.
     # The surrogate is evaluated as a descent evaluates it, ignoring overflow;
@@ -432,12 +433,12 @@ def test_block_objective_rows_match_one_row_calls(n, k, r, quad):
     temps = [((1e-4, 1e-1, 1e-2)[i % 3], (1e-3, 1e-2, 1e-1)[i % 3]) for i in range(k)]
     block = SmoothedObjective(probs, temps)
     v = rng.uniform(-1.0, 1.0, (k, n))
-    overflow, large = v.copy(), v.copy()
+    overflow, large, every = v.copy(), v.copy(), np.full((k, n), 1e4)
     overflow[k // 2] = 1e4
     large[k // 2] = 921.0
     f_large = tikhonov._forward(op, probs[k // 2].g_bar, large[k // 2])
     assert np.isfinite(f_large).all() and 1e199 < f_large.max() < 1e201
-    for witnesses in (v, large, overflow):
+    for witnesses in (v, large, every, overflow):
         kept = witnesses.copy()
         with np.errstate(over="ignore"):
             values, grads = block.value_and_grad(witnesses)
@@ -452,6 +453,8 @@ def test_block_objective_rows_match_one_row_calls(n, k, r, quad):
             some_values, some_grads = block.value_and_grad(witnesses[rows], rows)
         assert np.array_equal(some_values, values[rows]) and np.array_equal(some_grads, grads[rows])
         assert np.array_equal(witnesses, kept)
+        if witnesses is every:
+            assert (values == np.inf).all() and not grads.any()
     assert values[k // 2] == np.inf and not grads[k // 2].any()
     assert np.isfinite(np.delete(values, k // 2)).all()
     (stuck,) = tikhonov._descend([probs[k // 2]], [large[k // 2]], [temps[k // 2]], max_iter=5)
