@@ -21,9 +21,7 @@ import dataclasses
 import functools
 import json
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -95,6 +93,11 @@ class ExperimentConfig:
         for name in ("p", "r", "a", "c_alpha", "slope_tolerance", "bounded_ratio_limit"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.slope_tolerance < 0.0:
+            raise ValueError("slope_tolerance must be non-negative")
+        if self.bounded_ratio_limit < 1.0:
+            # The ratio is max/min, at least 1, so a lower limit fails every bounded-ratio check.
+            raise ValueError("bounded_ratio_limit must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.n_seeds < 1:
@@ -311,6 +314,11 @@ def _pool_map(fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
     workers = _worker_count(len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
+    # Loaded here, not on import, so a process that never forks never loads them;
+    # loaded before the fork, so the workers inherit them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # Fork, not spawn: a spawned worker would import numpy, scipy and oversmooth
     # anew, and could not take fn when it is a closure.
     with ProcessPoolExecutor(

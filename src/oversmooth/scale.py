@@ -97,7 +97,7 @@ class QuadratureConfig:
     """Controls the log-substituted Balakrishnan quadrature.
 
     ``step`` is the node spacing in t = log s; the truncation bounds are
-    derived per call from ``tail_tol``: with q_eff the fractional order
+    derived per call from ``tail_tol``, in (0, 1): with q_eff the fractional order
     clamped to [0.1, 0.9],
 
         t_min = (log tail_tol - log 8) / q_eff,
@@ -118,8 +118,9 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.step) and self.step > 0.0):
             raise ValueError("quadrature step must be positive and finite")
-        if not (math.isfinite(self.tail_tol) and self.tail_tol > 0.0):
-            raise ValueError("tail tolerance must be positive and finite")
+        if not 0.0 < self.tail_tol < 1.0:
+            # A tail bound of 1 or more bounds nothing, and from 8 on t_min >= t_max leaves no node.
+            raise ValueError(f"tail_tol must be positive, finite and below 1, got {self.tail_tol:g}")
         if self.nodes > _MAX_QUADRATURE_NODES:
             raise ValueError(f"quadrature step and tail_tol need {self.nodes:.3g} nodes, over {_MAX_QUADRATURE_NODES:.0e}")
 

@@ -82,6 +82,12 @@ def test_config_validation():
         ExperimentConfig(n_seeds=0)
     with pytest.raises(ValueError, match="^seed must be non-negative$"):
         ExperimentConfig(seed=-1)
+    # Gates that no study could pass: |slope error| < 0, and max/min < 1.
+    with pytest.raises(ValueError, match="^slope_tolerance must be non-negative$"):
+        ExperimentConfig(slope_tolerance=-0.01)
+    with pytest.raises(ValueError, match="^bounded_ratio_limit must be at least 1$"):
+        ExperimentConfig(bounded_ratio_limit=0.99)
+    assert ExperimentConfig(slope_tolerance=0.0, bounded_ratio_limit=1.0).bounded_ratio_limit == 1.0
 
 
 def test_config_file_parsing(tmp_path):
@@ -178,6 +184,8 @@ BAD_CONFIG_LINES = {
     "quad_step = nan": "finite",
     "tail_tol = nan": "finite",
     "tail_tol = inf": "finite",
+    "tail_tol = 1": "tail_tol must be positive, finite and below 1, got 1",
+    "tail_tol = 10": "tail_tol must be positive, finite and below 1, got 10",
     "quad_step = 1e-9": "need 1.77e+11 nodes, over 1e+06",  # 1.8e11 nodes: numpy would ask for hundreds of GiB
     "max_iter = 0": "max_iter must be at least 1",
     "max_iter = -1": "max_iter must be at least 1",
@@ -193,6 +201,8 @@ BAD_CONFIG_LINES = {
     "c_alpha = nan": "c_alpha must be finite",
     "slope_tolerance = nan": "slope_tolerance must be finite",
     "bounded_ratio_limit = inf": "bounded_ratio_limit must be finite",
+    "slope_tolerance = -0.1": "slope_tolerance must be non-negative",
+    "bounded_ratio_limit = 0.5": "bounded_ratio_limit must be at least 1",
     "delta_list = nan": "noise levels must be positive and finite",
     "delta_list = inf, 0.1": "noise levels must be positive and finite",
     "regime = low_order\ndelta_list = 1.0, 0.1, 0.01": "low-order noise levels must be below 1",

@@ -98,6 +98,19 @@ print(json.dumps([reports, os.getpid(), "scipy.linalg" in sys.modules]))
     assert [loaded for _, _, loaded in reports] == [False] * 4
 
 
+def test_pool_modules_load_at_the_first_pool():
+    # multiprocessing and concurrent.futures bring socket, subprocess, logging
+    # and queue: about 17 ms of import and 1.2 MB (BENCH_setup.json).  A process
+    # loads them when it first builds a pool, before the fork, and not before.
+    probe = """
+import json
+print(json.dumps([name in sys.modules for name in ("multiprocessing", "concurrent.futures")]))
+"""
+    assert run_probe("import sys\nimport oversmooth as ov\n" + SOLVE + probe) == [False, False]
+    assert run_probe(SUITES + probe) == [False, False]
+    assert run_probe(POOLED_SUITES + probe) == [True, True]
+
+
 needs_setulb = pytest.mark.skipif(tikhonov._setulb() is None, reason="L-BFGS-B's setulb cannot be loaded alone")
 
 

@@ -529,6 +529,10 @@ def test_quadrature_config_validation():
         QuadratureConfig(step=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(tail_tol=-1.0)
+    # 1 bounds no tail; at 8 the range holds no node, and above it a negative count.
+    for bad in (1.0, 8.0, 10.0):
+        with pytest.raises(ValueError, match="^tail_tol must be positive, finite and below 1, got "):
+            QuadratureConfig(tail_tol=bad)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             QuadratureConfig(step=bad)
