@@ -1,109 +1,26 @@
-"""Tikhonov regularization with oversmoothing penalties over a Volterra scale."""
+"""Tikhonov regularization with oversmoothing penalties over a Volterra scale.
+
+The package re-exports each module's ``__all__``; a public name is declared
+once, in the module that defines it.
+"""
 
 __version__ = "0.1.0"
 
-from .grids import GridFunction
-from .scale import (
-    GROWTH_BOUND,
-    KAPPA_STAR,
-    InterpolationReport,
-    QuadratureConfig,
-    QuadratureError,
-    ScaleOperator,
-    SmoothElement,
-    interpolation_check,
-    log_smooth_element,
-    riemann_liouville,
-    smooth_element,
-    tau_norm,
-)
-from .fitting import SlopeFit, fit_slope
-from .lavrentiev import (
-    AuxiliaryElement,
-    DecayReport,
-    GapTable,
-    InternalConsistencyError,
-    RegularizerFamily,
-    auxiliary_element,
-    decay_check,
-    gap_table,
-    unit_probes,
-)
-from .exp_volterra import (
-    ExpVolterraProblem,
-    NoiseSpec,
-    NonlinearityReport,
-    add_noise,
-    noise_vector,
-    make_problem,
-    make_truth,
-    nonlinearity_check,
-)
-from .tikhonov import (
-    MinimizeResult,
-    ParamChoice,
-    TikhonovProblem,
-    UncertifiedResultError,
-    choose_alpha,
-    coupling_exponent,
-    minimize,
-    objective,
-)
-from .harness import (
-    CheckResult,
-    ExperimentConfig,
-    RateReport,
-    RateRow,
-    run_rate_study,
-    run_suite,
-)
+from .grids import *
+from .scale import *
+from .fitting import *
+from .lavrentiev import *
+from .exp_volterra import *
+from .tikhonov import *
+from .harness import *
 
 __all__ = [
     "__version__",
-    "GridFunction",
-    "GROWTH_BOUND",
-    "KAPPA_STAR",
-    "InterpolationReport",
-    "QuadratureConfig",
-    "QuadratureError",
-    "ScaleOperator",
-    "SmoothElement",
-    "interpolation_check",
-    "log_smooth_element",
-    "riemann_liouville",
-    "smooth_element",
-    "tau_norm",
-    "SlopeFit",
-    "fit_slope",
-    "AuxiliaryElement",
-    "DecayReport",
-    "GapTable",
-    "InternalConsistencyError",
-    "RegularizerFamily",
-    "auxiliary_element",
-    "decay_check",
-    "gap_table",
-    "unit_probes",
-    "ExpVolterraProblem",
-    "NoiseSpec",
-    "NonlinearityReport",
-    "add_noise",
-    "noise_vector",
-    "make_problem",
-    "make_truth",
-    "nonlinearity_check",
-    "MinimizeResult",
-    "ParamChoice",
-    "TikhonovProblem",
-    "UncertifiedResultError",
-    "choose_alpha",
-    "coupling_exponent",
-    "minimize",
-    "objective",
-    "CheckResult",
-    "ExperimentConfig",
-    "RateReport",
-    "RateRow",
-    "run_rate_study",
-    "run_suite",
+    *grids.__all__,
+    *scale.__all__,
+    *fitting.__all__,
+    *lavrentiev.__all__,
+    *exp_volterra.__all__,
+    *tikhonov.__all__,
+    *harness.__all__,
 ]

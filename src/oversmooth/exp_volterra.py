@@ -45,7 +45,6 @@ class ExpVolterraProblem:
     f_true: GridFunction
     c1: float
     c2: float
-    a: float = 1.0
 
     def forward(self, u: GridFunction) -> GridFunction:
         """F(u) = exp(G u); raises OverflowError if the exponential overflows."""

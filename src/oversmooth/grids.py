@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -78,10 +78,6 @@ class GridFunction:
     @classmethod
     def ones(cls, n: int) -> "GridFunction":
         return cls(np.ones(n))
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray], n: int) -> "GridFunction":
-        return cls(np.asarray(fn(np.linspace(0.0, 1.0, n)), dtype=float))
 
 
 def csv_table(header: str, rows: Iterable[Iterable[object]]) -> str:

@@ -49,7 +49,6 @@ __all__ = [
     "RateRow",
     "RateReport",
     "run_rate_study",
-    "fit_slope",
     "CheckResult",
     "run_suite",
     "SUITE_NAMES",
@@ -229,9 +228,9 @@ def _bundled_blas_setters() -> tuple[Callable[[int], None], ...]:
     calls LAPACK's banded solve ``dtbtrs`` from, found without importing
     scipy.  scipy's BLAS runs L-BFGS-B and every shifted solve, so a pool
     worker holds it to one thread: on a 2-CPU host with no thread variables
-    set, workers that held no BLAS made the default p=0.5 study about 8 times
-    slower in the median (25.0-59.8 s against 3.9-5.6 s, five runs each),
-    with byte-identical reports.  numpy's BLAS runs no product in a solve and
+    set, workers that held no BLAS made the default p=0.5 study about 4 times
+    slower in the median (4.9-12.0 s against 1.4-2.3 s, six runs each), with
+    byte-identical reports.  numpy's BLAS runs no product in a solve and
     is left alone: holding it to one thread as well moved that study's time
     by less than its run-to-run spread (3.38-4.36 s against 3.32-4.04 s, six
     runs each).

@@ -55,9 +55,6 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureError",
     "ScaleOperator",
-    "SmoothElement",
-    "smooth_element",
-    "tau_norm",
     "log_smooth_element",
     "InterpolationReport",
     "interpolation_check",
@@ -459,36 +456,6 @@ class ScaleOperator:
 
 
 # -- scale elements ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmoothElement:
-    """An element of the order-tau smoothness class, carried by its witness.
-
-    ``value`` equals G^tau applied to ``witness``; the scale norm of the
-    element is the sup norm of the witness and is never obtained by numerical
-    inversion of G (the inverse is the unbounded object under study).
-    """
-
-    witness: GridFunction
-    order: float
-    value: GridFunction
-
-
-def smooth_element(
-    op: ScaleOperator,
-    order: float,
-    witness: GridFunction,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> SmoothElement:
-    if order < 0.0:
-        raise ValueError("smoothness order must be nonnegative")
-    return SmoothElement(witness=witness, order=order, value=op.power(order, witness, cfg))
-
-
-def tau_norm(e: SmoothElement) -> float:
-    """Scale norm of a smooth element: the sup norm of its witness."""
-    return e.witness.sup_norm()
 
 
 def log_smooth_element(

@@ -241,8 +241,8 @@ def _lbfgsb(
 
 def coupling_exponent(r: float, a: float) -> float:
     """The exponent kappa = 1/(r(1+a)) linking alpha to the smoothing scale beta."""
-    if r <= 0.0 or a <= 0.0:
-        raise ValueError("exponents r and a must be positive")
+    if not (0.0 < r < math.inf and 0.0 < a < math.inf):
+        raise ValueError(f"exponents r and a must be positive and finite, got r={r:g}, a={a:g}")
     return 1.0 / (r * (1.0 + a))
 
 
@@ -259,11 +259,11 @@ class TikhonovProblem:
     a: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        coupling_exponent(self.r, self.a)  # raises unless r and a are positive
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha:g}")
+        coupling_exponent(self.r, self.a)  # raises unless r and a are positive and finite
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be nonnegative and finite, got {self.delta:g}")
 
     @cached_property
     def u_bar(self) -> GridFunction:
@@ -309,14 +309,14 @@ class ParamChoice:
     def __post_init__(self) -> None:
         if self.regime not in ("none", "hoelder", "low_order"):
             raise ValueError(f"unknown parameter-choice regime: {self.regime!r}")
-        if self.C <= 0.0:
-            raise ValueError("the rule constant C must be positive")
+        if not 0.0 < self.C < math.inf:
+            raise ValueError(f"the rule constant C must be positive and finite, got {self.C:g}")
 
 
 def choose_alpha(pc: ParamChoice, delta: float, r: float, a: float) -> float:
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    coupling_exponent(r, a)  # raises unless r and a are positive
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta:g}")
+    coupling_exponent(r, a)  # raises unless r and a are positive and finite
     if pc.regime == "hoelder":
         if pc.p is None or not 0.0 < pc.p <= 1.0:
             raise ValueError("hoelder rule needs an order p in (0, 1]")

@@ -64,11 +64,6 @@ def test_size_mismatch_raises():
         GridFunction.zeros(4) + GridFunction.zeros(5)
 
 
-def test_from_callable():
-    u = GridFunction.from_callable(lambda x: x**2, 9)
-    assert np.allclose(u.values, u.x**2)
-
-
 def test_csv_table_bytes():
     rows = [(np.float64(0.1), True, np.True_, 7, "ones"), (0.25, False, np.False_, np.int64(-3), "x")]
     assert csv_table("f,b,nb,i,s", rows) == "f,b,nb,i,s\n0.10000000000000001,1,1,7,ones\n0.25,0,0,-3,x\n"

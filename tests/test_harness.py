@@ -695,3 +695,12 @@ _SUBMODULES = ("grids", "scale", "fitting", "lavrentiev", "exp_volterra", "tikho
 def test_public_names_resolve(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_reexports_each_module_once():
+    pkg = importlib.import_module("oversmooth")
+    assert len(pkg.__all__) == len(set(pkg.__all__))
+    for m in _SUBMODULES:
+        mod = importlib.import_module(f"oversmooth.{m}")
+        missing = [name for name in mod.__all__ if name not in pkg.__all__ or getattr(pkg, name) is not getattr(mod, name)]
+        assert missing == [], m

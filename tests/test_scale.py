@@ -14,8 +14,6 @@ from oversmooth import (
     interpolation_check,
     log_smooth_element,
     riemann_liouville,
-    smooth_element,
-    tau_norm,
 )
 from oversmooth import scale
 
@@ -401,26 +399,6 @@ def test_power_of_half_constant_interior(op256, quad):
     v = op256.power(0.5, GridFunction.ones(256), quad)
     exact = 2.0 * np.sqrt(x / np.pi)
     assert np.max(np.abs(v.values - exact)[x > 0.1]) < 5e-3
-
-
-# -- scale elements ----------------------------------------------------------
-
-
-def test_tau_norm_zero(op256, quad):
-    e = smooth_element(op256, 0.5, GridFunction.zeros(256), quad)
-    assert tau_norm(e) == 0.0
-
-
-def test_tau_norm_order_zero_is_base_norm(op256, quad):
-    u = GridFunction(np.linspace(-0.3, 0.8, 256))
-    e = smooth_element(op256, 0.0, u, quad)
-    assert tau_norm(e) == u.sup_norm() == e.value.sup_norm()
-
-
-def test_tau_norm_constant_witness(op256, quad):
-    e = smooth_element(op256, 0.5, GridFunction.ones(256), quad)
-    assert tau_norm(e) == 1.0
-    assert abs(e.value.sup_norm() - 2.0 / math.sqrt(math.pi)) < 5e-3
 
 
 # -- logarithmic smoothness class ---------------------------------------------

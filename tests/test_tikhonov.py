@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -53,6 +54,9 @@ def test_coupling_exponent():
     assert coupling_exponent(1.0, 3.0) == 0.25
     with pytest.raises(ValueError):
         coupling_exponent(0.0, 1.0)
+    for r, a in [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)]:
+        with pytest.raises(ValueError, match="^exponents r and a must be positive and finite, got "):
+            coupling_exponent(r, a)
 
 
 def test_choose_alpha_hoelder():
@@ -83,6 +87,14 @@ def test_choose_alpha_validation():
         choose_alpha(ParamChoice("hoelder", p=2.0), 1e-2, 1.0, 1.0)
     with pytest.raises(ValueError):
         choose_alpha(ParamChoice("low_order"), 0.0, 1.0, 1.0)
+    for delta in [math.nan, math.inf]:
+        with pytest.raises(ValueError, match="^delta must be positive and finite, got "):
+            choose_alpha(ParamChoice("low_order"), delta, 1.0, 1.0)
+    for c in [math.nan, math.inf]:
+        with pytest.raises(ValueError, match="^the rule constant C must be positive and finite, got "):
+            ParamChoice("low_order", C=c)
+    with pytest.raises(ValueError, match="^exponents r and a"):
+        choose_alpha(ParamChoice("low_order"), 1e-2, math.nan, 1.0)
 
 
 # -- the functional ------------------------------------------------------------
@@ -121,6 +133,15 @@ def test_problem_validation(setup):
         make_prob(problem, 0.1, 0.0)
     with pytest.raises(ValueError):
         make_prob(problem, 0.1, 1.0, r=0.0)
+    for alpha in [math.nan, math.inf]:
+        with pytest.raises(ValueError, match="^alpha must be positive and finite, got "):
+            make_prob(problem, 0.1, alpha)
+    with pytest.raises(ValueError, match="^exponents r and a"):
+        make_prob(problem, 0.1, 1.0, r=math.inf)
+    zero = GridFunction.zeros(problem.op.n)
+    for delta in [math.nan, math.inf, -1e-3]:
+        with pytest.raises(ValueError, match="^delta must be nonnegative and finite, got "):
+            TikhonovProblem(problem, problem.f_true, delta, zero, 0.1)
 
 
 # -- minimization ----------------------------------------------------------------
