@@ -31,6 +31,18 @@ __all__ = [
 ]
 
 
+def _exp_map(op: ScaleOperator, w: np.ndarray, g0: np.ndarray | float = 0.0) -> np.ndarray:
+    """exp(g0 + G w) along the last axis, the one evaluation of F; entries that overflow are inf.
+
+    F(u) is ``_exp_map(op, u)``; the solver's F(u_bar + G v) is
+    ``_exp_map(op, G v, G u_bar)``.
+    """
+    with np.errstate(over="ignore"):
+        x = op._apply_values(w)
+        x += g0
+        return np.exp(x, out=x)
+
+
 @dataclass(frozen=True)
 class ExpVolterraProblem:
     """A fixed-truth instance of the exponential Volterra problem.
@@ -53,8 +65,7 @@ class ExpVolterraProblem:
 
     def _forward_values(self, u: np.ndarray) -> np.ndarray:
         """F along the last axis: of one vector, or of each row of a (k, n) block."""
-        with np.errstate(over="ignore"):
-            vals = np.exp(self.op._apply_values(u))
+        vals = _exp_map(self.op, u)
         if not np.all(np.isfinite(vals)):
             raise OverflowError("forward map overflowed for an extreme input")
         return vals
@@ -65,10 +76,8 @@ class ExpVolterraProblem:
 
 
 def make_problem(op: ScaleOperator, u_true: GridFunction) -> ExpVolterraProblem:
-    g = op.apply(u_true)
-    bound = g.sup_norm()
-    with np.errstate(over="ignore"):
-        f_vals = np.exp(g.values)
+    bound = op.apply(u_true).sup_norm()
+    f_vals = _exp_map(op, u_true.values)
     if not np.all(np.isfinite(f_vals)):
         raise OverflowError("truth is too large for the exponential forward map")
     return ExpVolterraProblem(
@@ -128,8 +137,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.delta < 0.0:
-            raise ValueError("noise level must be nonnegative")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"noise level must be nonnegative and finite, got {self.delta:g}")
         if self.kind not in ("random_sign", "smooth_bump"):
             raise ValueError(f"unknown noise kind: {self.kind!r}")
 

@@ -2,24 +2,18 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["SlopeFit", "fit_slope", "NOISE_FLOOR"]
+__all__ = ["fit_slope", "NOISE_FLOOR"]
 
 #: Values at or below this are treated as numerical noise and excluded from fits.
 NOISE_FLOOR = 10.0 * np.finfo(float).eps
 
 
-class SlopeFit(NamedTuple):
-    slope: float
-    intercept: float
-    r_squared: float
-
-
-def fit_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:
-    """Ordinary least squares of log(y) against log(x).
+def fit_slope(points: Sequence[tuple[float, float]]) -> float:
+    """The slope of the ordinary least-squares line of log(y) against log(x).
 
     Requires at least three strictly positive (x, y) pairs, with at least two distinct x values.
     """
@@ -33,9 +27,4 @@ def fit_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:
         raise ValueError("slope fitting needs at least two distinct x values")
     ly = np.log([y for _, y in pts])
     lx_c = lx - lx.mean()
-    slope = float(np.dot(lx_c, ly - ly.mean()) / np.dot(lx_c, lx_c))
-    intercept = float(ly.mean() - slope * lx.mean())
-    resid = ly - (slope * lx + intercept)
-    total = np.dot(ly - ly.mean(), ly - ly.mean())
-    r_squared = 1.0 if total == 0.0 else float(1.0 - np.dot(resid, resid) / total)
-    return SlopeFit(slope=slope, intercept=intercept, r_squared=r_squared)
+    return float(np.dot(lx_c, ly - ly.mean()) / np.dot(lx_c, lx_c))

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, scale, tikhonov
 from .exp_volterra import ExpVolterraProblem, NoiseSpec, add_noise, make_problem, make_truth, nonlinearity_check
-from .fitting import NOISE_FLOOR, SlopeFit, fit_slope
+from .fitting import NOISE_FLOOR, fit_slope
 from .grids import GridFunction, csv_table
 from .lavrentiev import RegularizerFamily, decay_check, gap_table
 from .scale import QuadratureConfig, ScaleOperator, riemann_liouville
@@ -410,7 +410,7 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
         raise RuntimeError(f"rate study failed: only {len(certified)} of {len(rows)} solves certified")
 
     fit_points = [(r.delta, r.error_sup) for r in certified if r.error_sup > NOISE_FLOOR]
-    fitted = fit_slope(fit_points).slope if len(fit_points) >= 3 else None
+    fitted = fit_slope(fit_points) if len(fit_points) >= 3 else None
 
     expected = cfg.expected_slope()
     statistic = None
@@ -510,7 +510,7 @@ def _suite_aux_rates(cfg: ExperimentConfig) -> CheckResult:
     table = gap_table(fam, betas, u_h, zero, a=cfg.a, cfg=quad)
     artifacts["gaps_hoelder.csv"] = table.to_csv()
     for name, vals in (("g1", table.g1), ("g2", table.g2), ("g3", table.g3)):
-        slope = fit_slope(list(zip(table.betas, vals))).slope
+        slope = fit_slope(list(zip(table.betas, vals)))
         good = abs(slope - 0.5) <= 0.07
         ok = ok and good
         lines.append(f"hoelder p=0.5 {name}: slope={slope:.4f} (0.5 +- 0.07) {'PASS' if good else 'FAIL'}")

@@ -65,8 +65,8 @@ class RegularizerFamily:
 
     def regularize(self, beta: float, f: GridFunction) -> GridFunction:
         """Apply R_beta by m shifted solves; for m = 1 this is the classical method."""
-        if beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {beta:g}")
         self.op._check_size(f)
         v = np.zeros(self.op.n)
         for _ in range(self.m):
@@ -75,8 +75,8 @@ class RegularizerFamily:
 
     def companion(self, beta: float, f: GridFunction) -> GridFunction:
         """Apply S_beta = beta^m (G + beta I)^-m = I - R_beta G."""
-        if beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {beta:g}")
         self.op._check_size(f)
         return GridFunction(self._companion_values(beta, f.values))
 
@@ -157,8 +157,8 @@ def decay_check(
         if p > fam.saturation:
             raise ValueError(f"power order {p} exceeds the saturation {fam.saturation}")
     blist = [float(b) for b in betas]
-    if any(b <= 0.0 for b in blist):
-        raise ValueError("betas must be positive")
+    if not all(0.0 < b < np.inf for b in blist):
+        raise ValueError(f"betas must be positive and finite, got {blist}")
     if any(b2 >= b1 for b1, b2 in zip(blist, blist[1:])):
         raise ValueError("betas must be strictly decreasing")
 
@@ -182,7 +182,6 @@ def decay_check(
     for p, (k, q) in zip(plist, parts):
         norms = [float(nrm) for nrm in peaks[q][k]]
         ratios = [nrm / b**p for nrm, b in zip(norms, blist)]
-        fit = fit_slope([(b, nrm) for b, nrm in zip(blist, norms) if nrm > NOISE_FLOOR])
         reports.append(
             DecayReport(
                 p=p,
@@ -190,7 +189,7 @@ def decay_check(
                 norms=tuple(norms),
                 ratios=tuple(ratios),
                 max_ratio=max(ratios),
-                fitted_slope=fit.slope,
+                fitted_slope=fit_slope([(b, nrm) for b, nrm in zip(blist, norms) if nrm > NOISE_FLOOR]),
             )
         )
     return reports[0] if single else reports
@@ -285,8 +284,8 @@ def gap_table(
     check; ``auxiliary_element`` rejects a saturation m below 1 + a.
     """
     blist = [float(b) for b in betas]
-    if any(b <= 0.0 for b in blist):
-        raise ValueError("betas must be positive")
+    if not all(0.0 < b < np.inf for b in blist):
+        raise ValueError(f"betas must be positive and finite, got {blist}")
     rows = [auxiliary_element(fam, beta, u_true, u_bar_witness, a, cfg) for beta in blist]
     return GapTable(
         a=a,

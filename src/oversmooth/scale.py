@@ -375,8 +375,8 @@ class ScaleOperator:
             v_{i+1} = rho v_i + (f_{i+1} - f_i)/(beta + h/2),
             rho = (beta - h/2)/(beta + h/2),   |rho| < 1.
         """
-        if beta <= 0.0:
-            raise ValueError("shift beta must be positive")
+        if not 0.0 < beta < math.inf:
+            raise ValueError(f"shift beta must be positive and finite, got {beta:g}")
         self._check_size(f)
         return GridFunction(self._solve_values(beta, f.values))
 

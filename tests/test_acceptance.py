@@ -125,9 +125,7 @@ def test_criterion_5_gaps_hoelder(op256, quad):
     u_true = make_truth("hoelder", op256, p=0.5, cfg=quad)
     betas = list(np.geomspace(1e-1, 1e-4, 7))
     table = gap_table(fam, betas, u_true, GridFunction.zeros(256), a=1.0, cfg=quad)
-    slopes = [
-        fit_slope(list(zip(betas, vals))).slope for vals in (table.g1, table.g2, table.g3)
-    ]
+    slopes = [fit_slope(list(zip(betas, vals))) for vals in (table.g1, table.g2, table.g3)]
     passed = all(abs(s - 0.5) <= 0.07 for s in slopes)
     report("5 gaps-hoelder", passed, "slopes=" + ",".join(f"{s:.3f}" for s in slopes))
     assert passed

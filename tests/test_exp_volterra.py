@@ -176,8 +176,9 @@ def test_noise_deterministic(ramp_problem):
 
 
 def test_noise_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(-1.0, "random_sign", 0)
+    for delta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^noise level must be nonnegative and finite, got {delta:g}$"):
+            NoiseSpec(delta, "random_sign", 0)
     with pytest.raises(ValueError):
         NoiseSpec(0.1, "pink", 0)
 

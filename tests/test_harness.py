@@ -33,9 +33,7 @@ def fast_config(**overrides):
 
 def test_fit_slope_exact_line():
     deltas = np.geomspace(1e-1, 1e-4, 6)
-    fit = fit_slope([(d, d) for d in deltas])
-    assert fit.slope == pytest.approx(1.0, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert fit_slope([(d, d) for d in deltas]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_slope_rejects_one_distinct_x():
@@ -46,15 +44,13 @@ def test_fit_slope_rejects_one_distinct_x():
 
 def test_fit_slope_scaled_power():
     deltas = np.geomspace(1e-1, 1e-4, 6)
-    fit = fit_slope([(d, 3.0 * d**0.5) for d in deltas])
-    assert fit.slope == pytest.approx(0.5, abs=1e-12)
+    assert fit_slope([(d, 3.0 * d**0.5) for d in deltas]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_fit_slope_perturbed_power():
     deltas = np.geomspace(1e-1, 1e-4, 8)
     pts = [(d, d**0.5 * (1.0 + 0.05 * (-1.0) ** k)) for k, d in enumerate(deltas)]
-    fit = fit_slope(pts)
-    assert abs(fit.slope - 0.5) <= 0.03
+    assert abs(fit_slope(pts) - 0.5) <= 0.03
 
 
 def test_fit_slope_validation():
@@ -147,6 +143,13 @@ def test_config_file_rejects_unknown_key(tmp_path):
     path.write_text("grid_m = 10\n")
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config_file(path)
+
+
+def test_config_file_line_without_equals_names_location(tmp_path, capsys):
+    path = tmp_path / "typo.cfg"
+    path.write_text("p = 0.5\n\ngrid_n 128\n")
+    assert main(["rate-study", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {path}:3: expected 'key = value'"
 
 
 @pytest.mark.parametrize(
@@ -383,6 +386,25 @@ def test_rate_study_worker_error_reaches_caller(monkeypatch, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: quadrature failed in process ")
 
 
+def _mostly_uncertified_group(study, tasks):
+    # Only the first level's draws certify.
+    return [((0.1, 0.0, 0.0), i == 0) for i, _ in tasks]
+
+
+def test_rate_study_mostly_uncertified_fails(monkeypatch, tmp_path, capsys):
+    # One of four levels certified is under half: the study raises, and the CLI
+    # exits 3 with one error line.
+    force_workers(monkeypatch, 1)
+    monkeypatch.setattr(harness, "_solve_group", _mostly_uncertified_group)
+    with pytest.raises(RuntimeError, match="^rate study failed: only 1 of 4 solves certified$"):
+        run_rate_study(fast_config())
+
+    cfg_file = tmp_path / "fast.cfg"
+    cfg_file.write_text("grid_n = 64\ndelta_list = 1e-1, 1e-2, 1e-3, 1e-4\nn_seeds = 1\nmax_iter = 60\n")
+    assert main(["rate-study", "--config", str(cfg_file)]) == 3
+    assert capsys.readouterr().err.strip().splitlines() == ["error: rate study failed: only 1 of 4 solves certified"]
+
+
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 
@@ -545,9 +567,9 @@ def test_rate_study_beta_column(study_hoelder_p1):
 def test_default_study_slope_stability(study_hoelder_p1):
     # Excluding any single row moves the fitted slope by at most 0.05.
     pts = [(r.delta, r.error_sup) for r in study_hoelder_p1.rows if r.certified]
-    full = fit_slope(pts).slope
+    full = fit_slope(pts)
     for k in range(len(pts)):
-        loo = fit_slope(pts[:k] + pts[k + 1 :]).slope
+        loo = fit_slope(pts[:k] + pts[k + 1 :])
         assert abs(loo - full) <= 0.05
 
 

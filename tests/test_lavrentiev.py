@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,10 +49,10 @@ def test_regularize_zero(fam):
 
 
 def test_rejects_nonpositive_beta(fam):
-    with pytest.raises(ValueError):
-        fam.regularize(0.0, GridFunction.ones(256))
-    with pytest.raises(ValueError):
-        fam.companion(-0.1, GridFunction.ones(256))
+    # Also non-finite: each shifted solve would fail later with a generic message.
+    for beta, apply in itertools.product((0.0, -0.1, math.nan, math.inf), (fam.regularize, fam.companion)):
+        with pytest.raises(ValueError, match=f"^beta must be positive and finite, got {beta:g}$"):
+            apply(beta, GridFunction.ones(256))
 
 
 def test_single_iteration_is_classical(op256):
@@ -118,6 +120,9 @@ def test_decay_validation(fam):
         decay_check(fam, [0.5], [1e-4, 1e-1])
     with pytest.raises(ValueError):
         decay_check(fam, [-1.0], betas)
+    for bad in ([0.1, math.nan, 0.01], [math.inf, 0.1, 0.01], [0.1, 0.0]):
+        with pytest.raises(ValueError, match=f"^betas must be positive and finite, got {re.escape(str(bad))}$"):
+            decay_check(fam, [0.5], bad)
 
 
 def test_decay_bounded_at_zero_order(fam, quad):
@@ -232,8 +237,7 @@ def test_aux_hoelder_decay_slope(fam, quad):
         auxiliary_element(fam, b, u_true, GridFunction.zeros(256), cfg=quad).residual_to_truth
         for b in betas
     ]
-    fit = fit_slope(list(zip(betas, g1)))
-    assert abs(fit.slope - 0.5) <= 0.07
+    assert abs(fit_slope(list(zip(betas, g1))) - 0.5) <= 0.07
 
 
 # -- gap tables --------------------------------------------------------------------
@@ -243,6 +247,12 @@ def test_gap_table_saturation_guard(op256):
     shallow = RegularizerFamily(op256, m=1)
     with pytest.raises(ValueError, match="saturation"):
         gap_table(shallow, [0.1], GridFunction.ones(256), GridFunction.zeros(256), a=1.0)
+
+
+@pytest.mark.parametrize("betas", [[math.inf], [0.1, math.nan], [-0.1]])
+def test_gap_table_rejects_bad_betas(fam, betas):
+    with pytest.raises(ValueError, match=f"^betas must be positive and finite, got {re.escape(str(betas))}$"):
+        gap_table(fam, betas, GridFunction.ones(256), GridFunction.zeros(256))
 
 
 def test_gap_table_rows_are_auxiliary_elements(fam, quad):
@@ -269,7 +279,7 @@ def test_gap_table_hoelder_slopes(fam, quad):
     betas = list(np.geomspace(1e-1, 1e-4, 7))
     table = gap_table(fam, betas, u_true, GridFunction.zeros(256), a=1.0, cfg=quad)
     for vals in (table.g1, table.g2, table.g3):
-        assert abs(fit_slope(list(zip(betas, vals))).slope - 0.5) <= 0.07
+        assert abs(fit_slope(list(zip(betas, vals))) - 0.5) <= 0.07
 
 
 def test_gap_table_generic_truth_decreases(fam, quad):

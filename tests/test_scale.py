@@ -80,10 +80,14 @@ def test_resolvent_zero(op256):
 
 
 def test_resolvent_rejects_bad_shift(op256):
-    with pytest.raises(ValueError):
-        op256.solve_shifted(0.0, GridFunction.ones(256))
-    with pytest.raises(ValueError):
-        op256.solve_shifted(-1.0, GridFunction.ones(256))
+    for beta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^shift beta must be positive and finite, got {beta:g}$"):
+            op256.solve_shifted(beta, GridFunction.ones(256))
+
+
+def test_operator_needs_two_grid_points():
+    with pytest.raises(ValueError, match="^need at least two grid points$"):
+        ScaleOperator(1)
 
 
 @pytest.mark.parametrize("n,bound", [(128, 4e-5), (256, 1e-5)])
@@ -364,6 +368,12 @@ def test_riemann_liouville_exact_on_constants():
     for p in (0.25, 0.5, 0.75):
         out = riemann_liouville(p, GridFunction.ones(256))
         assert np.max(np.abs(out.values - x**p / math.gamma(1.0 + p))) < 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, -0.5])
+def test_riemann_liouville_rejects_nonpositive_order(p):
+    with pytest.raises(ValueError, match="^fractional order must be positive$"):
+        riemann_liouville(p, GridFunction.ones(16))
 
 
 def test_riemann_liouville_exact_on_linear():

@@ -22,6 +22,7 @@ from oversmooth import (
     objective,
 )
 from oversmooth import tikhonov
+from oversmooth.exp_volterra import _exp_map
 from oversmooth.tikhonov import ANNEAL_TEMPS, SmoothedObjective
 
 
@@ -125,6 +126,22 @@ def test_objective_rejects_inconsistent_pair(setup):
     prob = make_prob(problem, 0.1, 0.3)
     with pytest.raises(ValueError, match="witness"):
         objective(prob, GridFunction.ones(256), GridFunction.zeros(256))
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_overflowing_witness_scores_inf(setup, r):
+    # G G v passes exp's overflow threshold on the right half of the grid only: T and
+    # the residual are inf, the penalty is the witness's sup norm, and no warning is
+    # raised; objective reports the overflow.
+    problem, _, _ = setup
+    prob = make_prob(problem, 0.1, 0.3, r=r)
+    v = np.where(np.arange(256) < 128, 0.0, 1e4)
+    f = _exp_map(problem.op, problem.op._apply_values(v), prob.g_bar)
+    assert np.isfinite(f[:128]).all() and f[-1] == math.inf
+    assert tikhonov._evaluate(prob, v) == (math.inf, math.inf, 1e4)
+    u = GridFunction(prob.u_bar.values + problem.op._apply_values(v))
+    with pytest.raises(OverflowError, match="^forward map overflowed for an extreme input$"):
+        objective(prob, u, GridFunction(v))
 
 
 def test_problem_validation(setup):
@@ -423,6 +440,15 @@ def test_lockstep_rows_match_their_own_descents(op64, r):
     assert (got.nit, got.status) == (20, 1) and max(got.row_nfev) <= got.nfev < sum(got.row_nfev)
 
 
+def test_block_objective_needs_one_grid_and_r(setup, op64, quad):
+    problem, _, _ = setup
+    prob = make_prob(problem, 0.1, 0.3)
+    coarse = make_problem(op64, make_truth("hoelder", op64, p=1.0, cfg=quad))
+    for other in (make_prob(problem, 0.1, 0.3, r=2.0), make_prob(coarse, 0.1, 0.3)):
+        with pytest.raises(ValueError, match="^a block of problems must share the grid and r$"):
+            SmoothedObjective([prob, other], [(1e-2, 1e-2)] * 2)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("r", [1.0, 2.0])
 @pytest.mark.parametrize("k", [1, 3, 8])
@@ -457,7 +483,7 @@ def test_block_objective_rows_match_one_row_calls(n, k, r, quad):
     overflow, large, every = v.copy(), v.copy(), np.full((k, n), 1e4)
     overflow[k // 2] = 1e4
     large[k // 2] = 921.0
-    f_large = tikhonov._forward(op, probs[k // 2].g_bar, large[k // 2])
+    f_large = _exp_map(op, op._apply_values(large[k // 2]), probs[k // 2].g_bar)
     assert np.isfinite(f_large).all() and 1e199 < f_large.max() < 1e201
     for witnesses in (v, large, every, overflow):
         kept = witnesses.copy()
@@ -582,6 +608,17 @@ def test_broken_setulb_falls_back_to_scipy_driver(setup, monkeypatch, reload_set
         assert getattr(got, field).values.tobytes() == getattr(want, field).values.tobytes()
     for field in ("objective", "residual", "penalty", "certificate_bound", "certified"):
         assert getattr(got, field) == getattr(want, field)
+
+
+def test_minimize_raises_uncertified_result(setup, monkeypatch):
+    # A result that misses its certificate is raised by minimize, and carries that result.
+    problem, fam, u_true = setup
+    zero = GridFunction.zeros(256)
+    missed = tikhonov.MinimizeResult(zero, zero, 2.0, 1.0, 1.0, 1.5, certified=False)
+    monkeypatch.setattr(tikhonov, "minimize_many", lambda *args: [missed])
+    with pytest.raises(UncertifiedResultError, match="^objective 2.0 exceeds the certificate bound 1.5$") as info:
+        minimize(make_prob(problem, 1e-2, 1e-2), fam, u_true)
+    assert info.value.result is missed
 
 
 def test_uncertified_error_pickle_round_trip(setup):
