@@ -228,13 +228,11 @@ def nonlinearity_check(
     theta_norms, delta_norms, prep_margins = np.empty((3, n_samples))
     for start in range(0, n_samples, ROW_BLOCK):
         count = min(ROW_BLOCK, n_samples - start)
-        # Draw in the per-sample order (perturbation, then target), so a seed
-        # gives the same samples whatever the block size.
-        pert = np.empty((count, op.n))
-        target = np.empty(count)
-        for r in range(count):
-            pert[r] = rng.uniform(-1.0, 1.0, op.n)
-            target[r] = rng.uniform(0.0, rho)
+        # A row of draws is a sample's uniform(-1, 1, n) perturbation, then its uniform(0, rho)
+        # target, bit for bit, so a seed gives the same samples whatever the block size.
+        draws = rng.random((count, op.n + 1))
+        pert = draws[:, :-1] * 2.0 - 1.0
+        target = draws[:, -1] * rho
         step = op._apply_values(pert)
         theta_raw = op._apply_values(step)
         nrm = np.max(np.abs(theta_raw), axis=1)

@@ -278,16 +278,19 @@ def objective(prob: TikhonovProblem, u: GridFunction, v_witness: GridFunction) -
     """Evaluate T at a point of the search slice u = u_bar + G v.
 
     The pair must be consistent: u is recomputed from the witness and compared.
-    T comes from the witness through the solver's evaluator, so it matches exactly.
+    T comes from the witness through the solver's evaluator, so it matches
+    exactly; where that T is inf, an OverflowError names F or the r-th power.
     """
     op = prob.forward_problem.op
     u_from_v = prob.u_bar.values + op._apply_values(v_witness.values)
     scale = 1.0 + np.max(np.abs(u.values))
     if np.max(np.abs(u.values - u_from_v)) > 1e-8 * scale:
         raise ValueError("u is not u_bar + G v for the supplied witness")
-    value = _evaluate(prob, v_witness.values)[0]
-    if not np.isfinite(value):
+    value, residual, _ = _evaluate(prob, v_witness.values)
+    if not math.isfinite(residual):
         raise OverflowError("forward map overflowed for an extreme input")
+    if not math.isfinite(value):
+        raise OverflowError(f"T overflowed: the r-th power (r={prob.r:g}) of its residual or penalty is too large")
     return value
 
 
@@ -379,31 +382,26 @@ def _soft_abs_max(z: np.ndarray, temp) -> tuple:
 
 
 def _evaluate(prob: TikhonovProblem, v: np.ndarray) -> tuple[float, float, float]:
-    """The true T at witness v, with its residual and penalty sup norms (T = inf on overflow)."""
+    """The true T at witness v, with its residual and penalty sup norms (T = inf where F or a power overflows)."""
     op = prob.forward_problem.op
-    penalty = float(np.max(np.abs(v)))
+    penalty = np.max(np.abs(v))
     f = _exp_map(op, op._apply_values(v), prob.g_bar)  # an inf entry makes the residual and T inf
-    residual = float(np.max(np.abs(f - prob.f_delta.values)))
-    return residual**prob.r + prob.alpha * penalty**prob.r, residual, penalty
+    residual = np.max(np.abs(f - prob.f_delta.values))
+    with np.errstate(over="ignore"):  # numpy scalar powers, as in _chain: inf where they overflow
+        return float(residual**prob.r + prob.alpha * penalty**prob.r), float(residual), float(penalty)
 
 
 def _chain(s_res, s_pen, alpha, r: float) -> tuple:
     """The surrogate from its two soft maxima, and its derivatives in them: (value, d/ds_res, d/ds_pen).
 
     Scalars for one problem.  For (k, 1) columns the value comes as (k,) and
-    the derivatives as (k, 1); each row is computed from Python floats with
-    C's ``pow``, as numpy's scalar power computes one problem's, since an
-    array power may round differently.  A Python float power raises where
-    numpy's gives inf (a finite s_res near 1e200 at r = 2), so then the
-    block's rows are taken as numpy scalars, exactly as one problem's are.
+    the derivatives as (k, 1); each row is computed on its numpy scalars with
+    C's ``pow``, as one problem's is, since an array power may round
+    differently.  A power that overflows gives inf.
     """
     if not isinstance(s_res, np.ndarray):
         return s_res**r + alpha * s_pen**r, r * s_res ** (r - 1.0), alpha * r * s_pen ** (r - 1.0)
-    rows = zip(s_res.ravel().tolist(), s_pen.ravel().tolist(), alpha.ravel().tolist())
-    try:
-        terms = np.array([_chain(*row, r) for row in rows])
-    except ArithmeticError:
-        terms = np.array([_chain(*row, r) for row in zip(s_res[:, 0], s_pen[:, 0], alpha[:, 0])])
+    terms = np.array([_chain(*row, r) for row in zip(s_res[:, 0], s_pen[:, 0], alpha[:, 0])])
     return terms[:, 0], terms[:, 1:2], terms[:, 2:3]
 
 

@@ -51,6 +51,11 @@ def test_forward_overflow(op256):
         prob.forward(GridFunction(np.full(256, 1e6)))
 
 
+def test_truth_too_large_for_forward_map(op64):
+    with pytest.raises(OverflowError, match="^truth is too large for the exponential forward map$"):
+        make_problem(op64, GridFunction(np.full(64, 1000.0)))
+
+
 def test_derivative_of_zero_direction(ramp_problem):
     out = ramp_problem.derivative(GridFunction.ones(256), GridFunction.zeros(256))
     assert out.sup_norm() == 0.0

@@ -433,6 +433,23 @@ def test_worker_count_needs_one_blas_thread(monkeypatch, setters, env, quota, n_
     assert harness._worker_count(n_tasks) == expected
 
 
+def test_worker_count_is_one_without_affinity(monkeypatch):
+    # Off Linux there is no os.sched_getaffinity: the tasks run in the calling process.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness, "_bundled_blas_setters", lambda: (print,))
+    monkeypatch.setattr(harness, "_quota_cpus", lambda: None)
+    assert harness._worker_count(16) == 1
+
+
+def test_no_blas_setter_without_the_symbol(monkeypatch):
+    # A library that does not export OpenBLAS's thread setter gives no setter, so no pool on its account.
+    harness._bundled_blas_setters.cache_clear()
+    monkeypatch.setattr(scale, "_bundled_openblas", lambda: ctypes.CDLL(None))
+    assert harness._bundled_blas_setters() == ()
+    monkeypatch.undo()
+    harness._bundled_blas_setters.cache_clear()
+
+
 @pytest.mark.parametrize(
     "cpu_max, cfs, expected",
     [

@@ -254,6 +254,29 @@ def test_bindings_take_empty_blocks(binding, monkeypatch, n):
     assert np.array_equal(op._solve_values(0.1, f), lapack_solve(op, 0.1, f))
 
 
+@pytest.mark.skipif(scale._bundled_openblas() is None, reason="scipy has no bundled OpenBLAS")
+@pytest.mark.parametrize("bad", ["C-ordered band", "float32 right-hand side", "Fortran-ordered right-hand side", "short band"])
+def test_bundled_binding_checks_arrays_before_lapack(bad):
+    # The ctypes binding hands LAPACK raw pointers, so it must refuse arrays of another layout first.
+    scale._banded_solve.cache_clear()
+    m = 16
+    band = np.asfortranarray(np.full((2, m), -0.5))
+    rhs = np.ones((3, m))
+    if bad == "C-ordered band":
+        band = np.ascontiguousarray(band)
+    elif bad == "float32 right-hand side":
+        rhs = rhs.astype(np.float32)
+    elif bad == "Fortran-ordered right-hand side":
+        rhs = np.asfortranarray(rhs)
+    else:
+        band = np.asfortranarray(band[:, 1:])
+    kept = rhs.copy()
+    with pytest.raises(ValueError, match="^dtbtrs needs a Fortran-ordered"):
+        scale._banded_solve()(band, rhs)
+    assert np.array_equal(rhs, kept)
+    scale._banded_solve.cache_clear()
+
+
 def test_no_bundle_without_scipy_libs(monkeypatch, tmp_path):
     spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
     spec.submodule_search_locations = [str(tmp_path / "scipy")]
@@ -546,6 +569,15 @@ def test_power_quadrature_failure_surfaces(op64):
     for _ in range(2):  # a failed kernel is not cached and served on the next call
         with pytest.raises(QuadratureError):
             op64.power(0.5, GridFunction.ones(64), bad)
+
+
+def test_power_of_huge_input_fails_quadrature(op64, quad):
+    # G u is finite, but the FFT convolution of its differences overflows: a
+    # QuadratureError, not non-finite output.
+    from oversmooth import QuadratureError
+
+    with pytest.raises(QuadratureError, match="^fractional power quadrature failed for q=0.5$"):
+        op64.power(0.5, GridFunction(np.full(64, 1e308)), quad)
 
 
 def test_power_result_is_independent_of_cached_kernel(op256, quad):

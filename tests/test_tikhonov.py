@@ -144,6 +144,19 @@ def test_overflowing_witness_scores_inf(setup, r):
         objective(prob, u, GridFunction(v))
 
 
+def test_overflowing_power_scores_inf(op64, quad):
+    # F is finite, near 1e200, but its residual's square overflows: T is inf, as
+    # for an overflowing F, with no warning; objective names the power.
+    problem = make_problem(op64, make_truth("hoelder", op64, p=1.0, cfg=quad))
+    prob = make_prob(problem, 0.1, 0.3, r=2.0)
+    v = np.full(64, 921.0)
+    value, residual, penalty = tikhonov._evaluate(prob, v)
+    assert value == math.inf and 9.83e199 < residual < 9.84e199 and penalty == 921.0
+    u = GridFunction(prob.u_bar.values + problem.op._apply_values(v))
+    with pytest.raises(OverflowError, match=r"^T overflowed: the r-th power \(r=2\) of its residual or penalty"):
+        objective(prob, u, GridFunction(v))
+
+
 def test_problem_validation(setup):
     problem, _, _ = setup
     with pytest.raises(ValueError):
@@ -408,6 +421,23 @@ def test_lbfgsb_loop_matches_scipy_driver(op64, monkeypatch, case, r):
         assert np.inf in values
     else:  # the x0 evaluation answers the first request; more requests than that reused an unchanged x
         assert sum(requests) > got.nfev
+
+
+@pytest.mark.skipif(tikhonov._setulb() is None, reason="scipy's setulb has another signature")
+@pytest.mark.parametrize("maxfun", [3, 5, 8])
+def test_lbfgsb_evaluation_cap_matches_scipy_driver(op64, monkeypatch, maxfun):
+    # With the evaluation cap lowered, the loop stops where scipy's driver stops with that maxfun.
+    prob, temps, maxiter = descent_problem(op64, "re-request", 1.0)
+    options = {"maxiter": maxiter, **DESCENT_OPTIONS}
+    x0 = np.zeros(op64.n)
+    want = scipy.optimize.minimize(
+        one_row(prob, temps), x0, jac=True, method="L-BFGS-B", options={**options, "maxfun": maxfun}
+    )
+    monkeypatch.setattr(tikhonov, "_MAXFUN", maxfun)
+    got = tikhonov._lbfgsb(SmoothedObjective([prob], [temps]).value_and_grad, x0, **options)
+    assert got.x[0].tobytes() == want.x.tobytes()
+    assert (got.nit, got.nfev, got.status) == (want.nit, want.nfev, want.status)
+    assert got.status == 1 and got.nit < maxiter and got.nfev > maxfun
 
 
 @pytest.mark.skipif(tikhonov._setulb() is None, reason="scipy's setulb has another signature")
