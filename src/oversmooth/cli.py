@@ -89,6 +89,9 @@ def main(argv: list[str] | None = None) -> int:
         # An uncertified rate study or a QuadratureError (a RuntimeError subclass).
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import functools
+import importlib.util
 import json
 import math
 import os
@@ -63,6 +64,11 @@ R = TypeVar("R")
 REGIME_NAMES = {"none": "none", "hoelder": "hoelder", "low-order": "low_order"}
 
 
+#: Most noise draws per level: ``_draw_problem`` seeds draw j of level i ``seed + _MAX_SEEDS * i + j``,
+#: so more draws would reuse the next level's seeds.
+_MAX_SEEDS = 1000
+
+
 def _default_deltas() -> tuple[float, ...]:
     return tuple(np.geomspace(1e-1, 10**-4.5, 8))
 
@@ -101,6 +107,8 @@ class ExperimentConfig:
             raise ValueError("seed must be non-negative")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be at least 1")
+        if self.n_seeds > _MAX_SEEDS:
+            raise ValueError(f"n_seeds must be at most {_MAX_SEEDS}")
         if self.grid_n < 64:
             raise ValueError("grid_n must be at least 64")
         if self.regime not in ("none", "hoelder", "low_order"):
@@ -187,7 +195,7 @@ def _draw_problem(study: _Study, i: int, j: int) -> TikhonovProblem:
     """The Tikhonov problem of noise draw j at level i."""
     cfg = study.cfg
     delta = cfg.delta_list[i]
-    f_delta = add_noise(study.problem.f_true, NoiseSpec(delta, cfg.noise_kind, cfg.seed + 1000 * i + j))
+    f_delta = add_noise(study.problem.f_true, NoiseSpec(delta, cfg.noise_kind, cfg.seed + _MAX_SEEDS * i + j))
     return TikhonovProblem(
         forward_problem=study.problem,
         f_delta=f_delta,
@@ -221,12 +229,31 @@ _CGROUP_CFS_PERIOD = Path("/sys/fs/cgroup/cpu/cpu.cfs_period_us")
 
 
 @functools.cache
+def _bundled_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS bundled in scipy's wheel, or None when there is none.
+
+    The library is looked up in ``scipy.libs`` beside scipy's package
+    directory, which ``find_spec`` names without importing scipy.  A conda or
+    system scipy bundles no library.
+    """
+    spec = importlib.util.find_spec("scipy")
+    for pkg in (spec and spec.submodule_search_locations) or ():
+        for path in sorted(Path(pkg).with_name("scipy.libs").glob("libscipy_openblas*.so")):
+            try:
+                return ctypes.CDLL(str(path))
+            except OSError:
+                continue
+    return None
+
+
+@functools.cache
 def _bundled_blas_setters() -> tuple[Callable[[int], None], ...]:
     """The thread-count setter of scipy's bundled OpenBLAS, as a tuple; empty when it is not found.
 
-    The library is ``scale._bundled_openblas()``, the one the shifted solve
-    calls LAPACK's banded solve ``dtbtrs`` from, found without importing
-    scipy.  scipy's BLAS runs L-BFGS-B and every shifted solve, so a pool
+    The library is ``_bundled_openblas()``, the one scipy's extensions, and
+    so LAPACK's banded solve ``dtbtrs`` of every shifted solve, call into.
+    An ILP64 build exports its setter under another name and gives none.
+    scipy's BLAS runs L-BFGS-B and every shifted solve, so a pool
     worker holds it to one thread: on a 2-CPU host with no thread variables
     set, workers that held no BLAS made the default p=0.5 study about 4 times
     slower in the median (4.9-12.0 s against 1.4-2.3 s, six runs each), with
@@ -235,7 +262,7 @@ def _bundled_blas_setters() -> tuple[Callable[[int], None], ...]:
     by less than its run-to-run spread (3.38-4.36 s against 3.32-4.04 s, six
     runs each).
     """
-    setter = getattr(scale._bundled_openblas(), _OPENBLAS_SETTER, None)
+    setter = getattr(_bundled_openblas(), _OPENBLAS_SETTER, None)
     if setter is None:
         return ()
     setter.argtypes, setter.restype = [ctypes.c_int], None
@@ -641,6 +668,7 @@ def _config_file_values(path: str | Path) -> dict[str, object]:
         "regime": lambda value: REGIME_NAMES.get(value, value),
     }
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -650,6 +678,9 @@ def _config_file_values(path: str | Path) -> dict[str, object]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in parsers:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ValueError(f"{path}:{lineno}: {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = parsers[key](value)
         except ValueError as exc:

@@ -5,10 +5,10 @@ trapezoid weights, is lower triangular with diagonal h/2 (first row zero), so
 shifted systems (G + beta I) v = f solve in O(n) by forward substitution;
 differenced, that substitution is one unit lower-bidiagonal system, which
 LAPACK's banded triangular solve (``dtbtrs``) takes for a whole block at once.
-That routine is called through ctypes from the OpenBLAS bundled in scipy's
-wheel, found without importing scipy, so the operator calculus never loads
-``scipy.linalg``; without such a bundle (a conda or system scipy) it comes
-from ``scipy.linalg.lapack``, imported on the first solve.  On
+That routine is called from scipy's ``linalg._flapack`` extension, loaded
+alone on the first solve, so the operator calculus imports no scipy Python
+package; only where that file cannot be loaded alone is the extension
+imported, and ``scipy.linalg`` with it.  On
 the grid the operator is of positive type with constant kappa_* = 2, i.e.
 ||(G + beta I)^-1|| <= 2/beta in the sup operator norm for every beta > 0.
 
@@ -37,12 +37,14 @@ sampling of ``lavrentiev.decay_check``, do so in blocks of ``ROW_BLOCK`` rows.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
+from types import ModuleType
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -219,89 +221,64 @@ def _build_spectrum(n: int, q: float, cfg: QuadratureConfig) -> np.ndarray:
     return spectrum
 
 
-# -- LAPACK's banded triangular solve -------------------------------------------
-
-#: LAPACK's ``dtbtrs`` with 32-bit integers, as the OpenBLAS in scipy's wheel exports it.
-_DTBTRS = "scipy_dtbtrs_"
+# -- scipy's extension modules, and LAPACK's banded triangular solve -------------
 
 
-@functools.cache
-def _bundled_openblas() -> ctypes.CDLL | None:
-    """The OpenBLAS bundled in scipy's wheel, or None when there is none.
+def _scipy_extension(module: str) -> ModuleType | None:
+    """scipy's extension module ``scipy.<module>``, such as ``"linalg._flapack"``, loaded alone, or None.
 
-    The library is looked up in ``scipy.libs`` beside scipy's package
-    directory, which ``find_spec`` names without importing scipy.  It counts
-    only if it exports ``_DTBTRS``: that exact symbol keeps the binding off an
-    ILP64 build, whose integers are 64-bit.  A conda or system scipy bundles
-    no library, and the shifted solve then takes ``dtbtrs`` from
-    ``scipy.linalg.lapack``.
+    The file is found through ``find_spec("scipy")``, which imports nothing,
+    and loaded by an ``ExtensionFileLoader``, so no ``__init__`` of a scipy
+    package runs.  The module is kept out of ``sys.modules``, where the load
+    puts it, so a later import of its package loads its own as usual.  A
+    missing file or a failed load gives None.
     """
     spec = importlib.util.find_spec("scipy")
-    for pkg in (spec and spec.submodule_search_locations) or ():
-        for path in sorted(Path(pkg).with_name("scipy.libs").glob("libscipy_openblas*.so")):
-            try:
-                lib = ctypes.CDLL(str(path))
-            except OSError:
-                continue
-            if hasattr(lib, _DTBTRS):
-                return lib
-    return None
-
-
-def _check_info(info: int) -> None:
-    if info != 0:
-        raise RuntimeError(f"LAPACK dtbtrs returned info={info}")
+    pkgs = (spec and spec.submodule_search_locations) or ()
+    *parents, stem = module.split(".")
+    files = (Path(pkg, *parents, stem + suffix) for pkg in pkgs for suffix in EXTENSION_SUFFIXES)
+    path = next((f for f in files if f.is_file()), None)
+    if path is None:
+        return None
+    name = f"scipy.{module}"
+    loaded = sys.modules.get(name)
+    loader = ExtensionFileLoader(name, str(path))
+    try:
+        extension = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path, loader=loader))
+        loader.exec_module(extension)
+    except ImportError:
+        return None
+    finally:
+        if loaded is None:
+            sys.modules.pop(name, None)
+    return extension
 
 
 @functools.cache
 def _banded_solve() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """``solve(band, rhs)``: LAPACK's ``dtbtrs`` with uplo="U", trans="T", diag="U", kd=1.
 
-    ``band`` is the Fortran-ordered (2, m) upper band and ``rhs`` the
-    C-ordered (k, m) or (m,) float array of right-hand sides, which is the
-    Fortran-ordered (m, k) array LAPACK takes; it is solved in place and
-    returned.  The routine is ``_bundled_openblas``'s, called through ctypes,
-    or else ``scipy.linalg.lapack``'s, imported here: the same LAPACK call
-    either way, with the same arguments.
+    ``band`` is the (2, m) upper band and ``rhs`` the (k, m) or (m,) array of
+    right-hand sides; a C-ordered float64 ``rhs`` is the Fortran-ordered
+    (m, k) array LAPACK takes, and is solved in place and returned.  The
+    routine is that of scipy's ``linalg._flapack`` extension, loaded alone
+    (``_scipy_extension``), or imported where it cannot be.
     """
-    lib = _bundled_openblas()
-    if lib is None:
-        from scipy.linalg.lapack import dtbtrs
-
-        def solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-            if rhs.size == 0:  # scipy's wrapper writes outside an empty (m, 0) array for m > 1
-                return rhs
-            x, info = dtbtrs(band, rhs.T, uplo="U", trans="T", diag="U", overwrite_b=True)
-            _check_info(info)
-            return x.T
-
-        return solve
-
-    dtbtrs = getattr(lib, _DTBTRS)
-    int_p = ctypes.POINTER(ctypes.c_int)
-    # uplo, trans, diag, n, kd, nrhs, ab, ldab, b, ldb, info, then the three
-    # hidden lengths of the character arguments that gfortran appends.
-    dtbtrs.argtypes = [ctypes.c_char_p] * 3 + [int_p] * 3 + [ctypes.c_void_p, int_p] * 2 + [int_p] + [ctypes.c_size_t] * 3
-    dtbtrs.restype = None
-    one, two = ctypes.c_int(1), ctypes.c_int(2)
-    ref = ctypes.byref
+    flapack = _scipy_extension("linalg._flapack")
+    if flapack is None:
+        from scipy.linalg import _flapack as flapack
+    dtbtrs = flapack.dtbtrs
 
     def solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        # LAPACK reads and writes through the raw pointers: check what they point at first.
-        if not (
-            band.dtype == rhs.dtype == np.float64
-            and band.shape[0] == 2
-            and band.flags.f_contiguous
-            and rhs.flags.c_contiguous
-            and rhs.shape[-1] == band.shape[1]
-        ):
-            raise ValueError("dtbtrs needs a Fortran-ordered (2, m) band and C-ordered (..., m) float64 right-hand sides")
-        m = ctypes.c_int(band.shape[1])
-        info = ctypes.c_int()
-        nrhs = ctypes.c_int(rhs.size // m.value)
-        dtbtrs(b"U", b"T", b"U", ref(m), ref(one), ref(nrhs), band.ctypes.data, ref(two), rhs.ctypes.data, ref(m), ref(info), 1, 1, 1)
-        _check_info(info.value)
-        return rhs
+        # f2py does not compare the two lengths: a short band solves without an error, wrongly.
+        if band.shape[-1] != rhs.shape[-1]:
+            raise ValueError(f"dtbtrs band has {band.shape[-1]} columns for right-hand sides of length {rhs.shape[-1]}")
+        if rhs.size == 0:  # the wrapper writes outside an empty (m, 0) array for m > 1
+            return rhs
+        x, info = dtbtrs(band, rhs.T, uplo="U", trans="T", diag="U", overwrite_b=True)
+        if info != 0:
+            raise RuntimeError(f"LAPACK dtbtrs returned info={info}")
+        return x.T
 
     return solve
 
@@ -390,8 +367,7 @@ class ScaleOperator:
         and add).  With diag="U" LAPACK never reads the diagonal row and cannot
         report a singular system.  The C-ordered (k, n-1) right-hand side is
         the Fortran-ordered array LAPACK takes: no copy, solved in place.
-        ``_banded_solve`` calls the routine from scipy's bundled OpenBLAS
-        through ctypes, or from ``scipy.linalg.lapack`` when scipy bundles none.
+        ``_banded_solve`` calls the routine from scipy's ``_flapack`` extension.
         """
         h2 = 0.5 * self.h
         d = beta + h2

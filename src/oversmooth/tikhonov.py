@@ -34,13 +34,10 @@ achievable by construction.
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -48,7 +45,7 @@ import numpy as np
 from .exp_volterra import ExpVolterraProblem, _exp_map
 from .grids import GridFunction
 from .lavrentiev import RegularizerFamily, auxiliary_element
-from .scale import DEFAULT_QUADRATURE, QuadratureConfig
+from .scale import DEFAULT_QUADRATURE, QuadratureConfig, _scipy_extension
 
 __all__ = [
     "TikhonovProblem",
@@ -105,33 +102,13 @@ _MAXFUN = 15000
 def _setulb():
     """``setulb`` from scipy's ``_lbfgsb`` extension if its signature is ``_SETULB_SIGNATURE``, else None.
 
-    The file ``scipy/optimize/_lbfgsb<suffix>`` is found through
-    ``find_spec("scipy")``, which imports nothing, and loaded alone by an
-    ``ExtensionFileLoader``, so ``scipy/optimize/__init__`` never runs.  The
-    module is kept out of ``sys.modules``, where the load puts it, so a later
-    ``import scipy.optimize`` loads its own as usual.  A missing file, a failed
-    load, older scipy (the Fortran wrapper) and any later change of the
-    routine's arguments give None, and descents then run scipy's own
-    "L-BFGS-B" driver.
+    The extension is loaded alone by ``scale._scipy_extension``, so
+    ``scipy/optimize/__init__`` never runs, and kept out of ``sys.modules``.
+    A missing file, a failed load, older scipy (the Fortran wrapper) and any
+    later change of the routine's arguments give None, and descents then run
+    scipy's own "L-BFGS-B" driver.
     """
-    spec = importlib.util.find_spec("scipy")
-    pkgs = (spec and spec.submodule_search_locations) or ()
-    files = (Path(pkg, "optimize", "_lbfgsb" + suffix) for pkg in pkgs for suffix in EXTENSION_SUFFIXES)
-    path = next((f for f in files if f.is_file()), None)
-    if path is None:
-        return None
-    name = "scipy.optimize._lbfgsb"
-    loaded = sys.modules.get(name)
-    loader = ExtensionFileLoader(name, str(path))
-    try:
-        module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path, loader=loader))
-        loader.exec_module(module)
-        setulb = module.setulb
-    except (ImportError, AttributeError):
-        return None
-    finally:
-        if loaded is None:
-            sys.modules.pop(name, None)
+    setulb = getattr(_scipy_extension("optimize._lbfgsb"), "setulb", None)
     return setulb if (setulb.__doc__ or "").split("\n", 1)[0] == _SETULB_SIGNATURE else None
 
 

@@ -1,7 +1,8 @@
 import ctypes
 import dataclasses
 import hashlib
-import importlib
+import importlib.machinery
+import importlib.util
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 
 from oversmooth import ExperimentConfig, fit_slope, run_rate_study, run_suite
 from oversmooth.cli import _config_from_args, build_parser, main
-from oversmooth import harness, scale
+from oversmooth import cli, harness, scale
 from oversmooth.harness import SUITE_NAMES, CheckResult, parse_config_file
 from oversmooth.scale import QuadratureError
 
@@ -181,6 +182,22 @@ def test_config_file_invalid_config_names_file(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == f"error: {path}: n_seeds must be at least 1"
 
 
+def test_config_file_rejects_a_key_set_twice(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text("p = 0.5\ngrid_n = 64\np = 1.0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: 'p' already set on line 1$"):
+        parse_config_file(path)
+    assert main(["rate-study", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {path}:3: 'p' already set on line 1"
+
+
+def test_config_rejects_more_draws_than_a_level_has_seeds():
+    # Draw j of level i is seeded seed + 1000 i + j: a 1001st draw would reuse the next level's first seed.
+    assert ExperimentConfig(n_seeds=1000).n_seeds == 1000
+    with pytest.raises(ValueError, match="^n_seeds must be at most 1000$"):
+        ExperimentConfig(n_seeds=1001)
+
+
 #: Config lines that ExperimentConfig rejects before a study starts -> a fragment of the error.
 BAD_CONFIG_LINES = {
     "quad_step = inf": "finite",
@@ -193,6 +210,7 @@ BAD_CONFIG_LINES = {
     "max_iter = 0": "max_iter must be at least 1",
     "max_iter = -1": "max_iter must be at least 1",
     "seed = -1": "seed must be non-negative",
+    "n_seeds = 1001": "n_seeds must be at most 1000",
     "p = 1.5": "order p in (0, 1]",
     "c_alpha = 0": "constant C must be positive",
     "r = 0": "exponents r and a must be positive",
@@ -217,7 +235,7 @@ BAD_CONFIG_LINES = {
 def test_cli_rejects_non_finite_quadrature(tmp_path, capsys, line):
     # Bad quadrature settings, and the study fields that a run would otherwise reject only mid-run.
     path = tmp_path / "quad.cfg"
-    path.write_text(f"p = 0.5\n{line}\n")
+    path.write_text(line + "\n" if line.startswith("p =") else f"p = 0.5\n{line}\n")  # a key set twice is another error
     assert main(["rate-study", "--config", str(path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and BAD_CONFIG_LINES[line] in err[0]
@@ -444,10 +462,23 @@ def test_worker_count_is_one_without_affinity(monkeypatch):
 def test_no_blas_setter_without_the_symbol(monkeypatch):
     # A library that does not export OpenBLAS's thread setter gives no setter, so no pool on its account.
     harness._bundled_blas_setters.cache_clear()
-    monkeypatch.setattr(scale, "_bundled_openblas", lambda: ctypes.CDLL(None))
+    monkeypatch.setattr(harness, "_bundled_openblas", lambda: ctypes.CDLL(None))
     assert harness._bundled_blas_setters() == ()
     monkeypatch.undo()
     harness._bundled_blas_setters.cache_clear()
+
+
+def test_no_bundle_without_scipy_libs(monkeypatch, tmp_path):
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path / "scipy")]
+    (tmp_path / "scipy.libs").mkdir()
+    (tmp_path / "scipy.libs" / "libscipy_openblas-0.so").write_bytes(b"not a library")
+    for found in (None, spec):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: found)
+        harness._bundled_openblas.cache_clear()
+        assert harness._bundled_openblas() is None
+    monkeypatch.undo()
+    harness._bundled_openblas.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -476,7 +507,7 @@ def test_quota_cpus_reads_cgroup_files(monkeypatch, tmp_path, cpu_max, cfs, expe
 
 
 def _bundled_blas_threads() -> int:
-    getter = scale._bundled_openblas().scipy_openblas_get_num_threads
+    getter = harness._bundled_openblas().scipy_openblas_get_num_threads
     getter.argtypes, getter.restype = [], ctypes.c_int
     return getter()
 
@@ -640,6 +671,23 @@ def test_cli_runtime_failure_exit_code(monkeypatch, capsys, exc):
     assert main(["suite", "decay-check"]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: {exc}"] * 2
+
+
+#: numpy's message for the array ``fracpow-check --grid-n 100000000000`` asks for.
+_NO_MEMORY = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
+
+
+@pytest.mark.parametrize(
+    "message, line", [(_NO_MEMORY, f"error: {_NO_MEMORY}"), ("", "error: out of memory")], ids=["numpy", "bare"]
+)
+def test_cli_out_of_memory_is_a_run_failure(monkeypatch, capsys, message, line):
+    # A grid too large for memory is a failed run (3), not a failed check (1); nothing is allocated here.
+    def out_of_memory(names, cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_suite", out_of_memory)
+    assert main(["fracpow-check", "--grid-n", "100000000000"]) == 3
+    assert capsys.readouterr().err.strip().splitlines() == [line]
 
 
 def test_cli_decay_check(capsys, tmp_path):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oversmooth import scale, tikhonov
+from oversmooth import tikhonov
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -80,9 +80,8 @@ print(json.dumps("scipy.optimize" in sys.modules))
     assert run_probe(probe) is False
 
 
-@pytest.mark.skipif(scale._bundled_openblas() is None, reason="scipy has no bundled OpenBLAS")
 def test_operator_suites_never_import_scipy_linalg():
-    # Importing scipy.linalg costs about 0.27 s and 27 MB; the shifted solve calls LAPACK through ctypes.
+    # Importing scipy.linalg costs about 0.27 s and 27 MB; the shifted solve loads its _flapack extension alone.
     serial = run_probe(SUITES + """
 import json
 print(json.dumps("scipy.linalg" in sys.modules))
@@ -112,6 +111,29 @@ print(json.dumps([name in sys.modules for name in ("multiprocessing", "concurren
 
 
 needs_setulb = pytest.mark.skipif(tikhonov._setulb() is None, reason="L-BFGS-B's setulb cannot be loaded alone")
+
+
+@needs_setulb
+def test_extensions_load_alone_through_one_loader():
+    # setulb and dtbtrs both come through scale._scipy_extension, whose loader is the only one in the
+    # package, and neither leaves a scipy entry in sys.modules.
+    probe = """
+import json
+import sys
+from oversmooth import scale, tikhonov
+
+loads = []
+
+class CountingLoader(scale.ExtensionFileLoader):
+    def exec_module(self, module):
+        loads.append(self.name)
+        super().exec_module(module)
+
+scale.ExtensionFileLoader = CountingLoader
+found = [tikhonov._setulb() is not None, scale._banded_solve() is not None]
+print(json.dumps([found, loads, hasattr(tikhonov, "ExtensionFileLoader"), [m for m in sys.modules if m.split(".")[0] == "scipy"]]))
+"""
+    assert run_probe(probe) == [[True, True], ["scipy.optimize._lbfgsb", "scipy.linalg._flapack"], False, []]
 
 
 @needs_setulb
@@ -190,16 +212,17 @@ from pathlib import Path
 
 import numpy as np
 import oversmooth as ov
-from oversmooth import harness, tikhonov
+from oversmooth import harness, scale, tikhonov
 
 loads = []
 
-class CountingLoader(tikhonov.ExtensionFileLoader):
+class CountingLoader(scale.ExtensionFileLoader):
     def exec_module(self, module):
-        loads.append(os.getpid())
+        if self.name == "scipy.optimize._lbfgsb":
+            loads.append(os.getpid())
         super().exec_module(module)
 
-tikhonov.ExtensionFileLoader = CountingLoader
+scale.ExtensionFileLoader = CountingLoader
 reports = tempfile.TemporaryDirectory()
 solve_group = harness._solve_group
 

@@ -1,5 +1,3 @@
-import importlib.machinery
-import importlib.util
 import math
 
 import numpy as np
@@ -190,16 +188,16 @@ def test_solve_matches_forward_substitution(n, beta):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-# -- the two bindings of LAPACK's banded solve ------------------------------------
+# -- the two routes to scipy's dtbtrs ------------------------------------------------
 
 
 @pytest.fixture(params=["bundled", "fallback"])
 def binding(request, monkeypatch):
-    """The shifted solve bound to scipy's bundled OpenBLAS through ctypes, then to scipy.linalg.lapack."""
-    if request.param == "bundled" and scale._bundled_openblas() is None:
-        pytest.skip("scipy has no bundled OpenBLAS")
+    """The shifted solve bound to scipy's ``_flapack`` extension loaded alone, then imported with scipy.linalg."""
+    if request.param == "bundled" and scale._scipy_extension("linalg._flapack") is None:
+        pytest.skip("scipy's _flapack cannot be loaded alone")
     if request.param == "fallback":
-        monkeypatch.setattr(scale, "_bundled_openblas", lambda: None)
+        monkeypatch.setattr(scale, "_scipy_extension", lambda module: None)
     scale._banded_solve.cache_clear()
     yield request.param
     scale._banded_solve.cache_clear()
@@ -207,8 +205,6 @@ def binding(request, monkeypatch):
 
 def lapack_solve(op, beta, f):
     """The shifted solve written out with scipy.linalg.lapack.dtbtrs on a C-ordered band."""
-    from scipy.linalg.lapack import dtbtrs
-
     h2 = 0.5 * op.h
     d = beta + h2
     band = np.empty((2, op.n - 1))
@@ -218,13 +214,20 @@ def lapack_solve(op, beta, f):
     rhs = f[..., 1:] - f[..., :-1]
     rhs[..., 0] = f[..., 1] - h2 * out[..., 0]
     rhs /= d
-    out[..., 1:] = dtbtrs(band, rhs.T, uplo="U", trans="T", diag="U")[0].T
+    out[..., 1:] = lapack_dtbtrs(band, rhs)
     return out
+
+
+def lapack_dtbtrs(band, rhs):
+    """scipy.linalg.lapack.dtbtrs on the (2, m) band and (..., m) right-hand sides, as the shifted solve calls it."""
+    from scipy.linalg.lapack import dtbtrs
+
+    return dtbtrs(band, rhs.T, uplo="U", trans="T", diag="U")[0].T
 
 
 @pytest.mark.parametrize("n", [2, 65, 256, 1025, 4097])
 def test_bindings_match_scipy_dtbtrs(binding, n):
-    # Both bindings run the same LAPACK routine on the same arrays, so they agree bit for bit, also
+    # Both routes run the same LAPACK routine on the same arrays, so they agree bit for bit, also
     # for beta below h/2 (rho < 0), for beta >> 1 and on the smallest grid (one unknown per row).
     op = ScaleOperator(n)
     rng = np.random.default_rng(n)
@@ -237,31 +240,36 @@ def test_bindings_match_scipy_dtbtrs(binding, n):
 
 @pytest.mark.parametrize("n", [2, 65, 4097])
 def test_bindings_take_empty_blocks(binding, monkeypatch, n):
-    # scipy's wrapper must never see an empty block: it writes outside an empty (m, 0) array when m > 1.
-    import scipy.linalg.lapack
-
-    wrapper = scipy.linalg.lapack.dtbtrs
+    # The wrapper must never see an empty block: it writes outside an empty (m, 0) array when m > 1.
+    if binding == "bundled":
+        flapack = scale._scipy_extension("linalg._flapack")
+        monkeypatch.setattr(scale, "_scipy_extension", lambda module: flapack)
+    else:
+        from scipy.linalg import _flapack as flapack
+    wrapper, calls = flapack.dtbtrs, []
 
     def nonempty_only(ab, b, **kwargs):
         assert b.size > 0, "scipy's dtbtrs called on an empty right-hand side"
+        calls.append(b.shape)
         return wrapper(ab, b, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dtbtrs", nonempty_only)
+    monkeypatch.setattr(flapack, "dtbtrs", nonempty_only)
     scale._banded_solve.cache_clear()
     op = ScaleOperator(n)
     assert op._solve_values(0.1, np.empty((0, n))).shape == (0, n)
     f = np.random.default_rng(n).uniform(-1.0, 1.0, (2, n))
     assert np.array_equal(op._solve_values(0.1, f), lapack_solve(op, 0.1, f))
+    assert calls == [(n - 1, 2)]
 
 
-@pytest.mark.skipif(scale._bundled_openblas() is None, reason="scipy has no bundled OpenBLAS")
 @pytest.mark.parametrize("bad", ["C-ordered band", "float32 right-hand side", "Fortran-ordered right-hand side", "short band"])
 def test_bundled_binding_checks_arrays_before_lapack(bad):
-    # The ctypes binding hands LAPACK raw pointers, so it must refuse arrays of another layout first.
+    # f2py converts a band or right-hand sides of another order or dtype before LAPACK sees them, so the
+    # values are scipy.linalg.lapack's; it does not compare their lengths, so the binding must.
     scale._banded_solve.cache_clear()
     m = 16
     band = np.asfortranarray(np.full((2, m), -0.5))
-    rhs = np.ones((3, m))
+    rhs = np.random.default_rng(m).uniform(-1.0, 1.0, (3, m))
     if bad == "C-ordered band":
         band = np.ascontiguousarray(band)
     elif bad == "float32 right-hand side":
@@ -269,25 +277,12 @@ def test_bundled_binding_checks_arrays_before_lapack(bad):
     elif bad == "Fortran-ordered right-hand side":
         rhs = np.asfortranarray(rhs)
     else:
-        band = np.asfortranarray(band[:, 1:])
-    kept = rhs.copy()
-    with pytest.raises(ValueError, match="^dtbtrs needs a Fortran-ordered"):
-        scale._banded_solve()(band, rhs)
-    assert np.array_equal(rhs, kept)
+        with pytest.raises(ValueError, match="^dtbtrs band has 15 columns for right-hand sides of length 16$"):
+            scale._banded_solve()(np.asfortranarray(band[:, 1:]), rhs)
+        return
+    expected = lapack_dtbtrs(band, rhs.astype(np.float64))
+    assert np.array_equal(scale._banded_solve()(band, rhs), expected)
     scale._banded_solve.cache_clear()
-
-
-def test_no_bundle_without_scipy_libs(monkeypatch, tmp_path):
-    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
-    spec.submodule_search_locations = [str(tmp_path / "scipy")]
-    (tmp_path / "scipy.libs").mkdir()
-    (tmp_path / "scipy.libs" / "libscipy_openblas-0.so").write_bytes(b"not a library")
-    for found in (None, spec):
-        monkeypatch.setattr(importlib.util, "find_spec", lambda name: found)
-        scale._bundled_openblas.cache_clear()
-        assert scale._bundled_openblas() is None
-    monkeypatch.undo()
-    scale._bundled_openblas.cache_clear()
 
 
 def test_resolvent_norm_bound_random():

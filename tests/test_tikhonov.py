@@ -21,7 +21,7 @@ from oversmooth import (
     minimize,
     objective,
 )
-from oversmooth import tikhonov
+from oversmooth import scale, tikhonov
 from oversmooth.exp_volterra import _exp_map
 from oversmooth.tikhonov import ANNEAL_TEMPS, SmoothedObjective
 
@@ -624,9 +624,9 @@ def test_broken_setulb_falls_back_to_scipy_driver(setup, monkeypatch, reload_set
         return scipy.optimize.minimize(*args, **kwargs)
 
     if broken == "missing extension file":
-        monkeypatch.setattr(tikhonov, "EXTENSION_SUFFIXES", [".no-such-extension.so"])
+        monkeypatch.setattr(scale, "EXTENSION_SUFFIXES", [".no-such-extension.so"])
     elif broken == "unloadable file":
-        monkeypatch.setattr(tikhonov, "EXTENSION_SUFFIXES", ["_py.py"])
+        monkeypatch.setattr(scale, "EXTENSION_SUFFIXES", ["_py.py"])
     else:
         monkeypatch.setattr(tikhonov, "_SETULB_SIGNATURE", "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,csave,lsave,isave,dsave)")
     tikhonov._setulb.cache_clear()
