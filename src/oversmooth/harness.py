@@ -19,7 +19,6 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import functools
-import importlib.util
 import json
 import math
 import os
@@ -229,41 +228,27 @@ _CGROUP_CFS_PERIOD = Path("/sys/fs/cgroup/cpu/cpu.cfs_period_us")
 
 
 @functools.cache
-def _bundled_openblas() -> ctypes.CDLL | None:
-    """The OpenBLAS bundled in scipy's wheel, or None when there is none.
-
-    The library is looked up in ``scipy.libs`` beside scipy's package
-    directory, which ``find_spec`` names without importing scipy.  A conda or
-    system scipy bundles no library.
-    """
-    spec = importlib.util.find_spec("scipy")
-    for pkg in (spec and spec.submodule_search_locations) or ():
-        for path in sorted(Path(pkg).with_name("scipy.libs").glob("libscipy_openblas*.so")):
-            try:
-                return ctypes.CDLL(str(path))
-            except OSError:
-                continue
-    return None
-
-
-@functools.cache
 def _bundled_blas_setters() -> tuple[Callable[[int], None], ...]:
     """The thread-count setter of scipy's bundled OpenBLAS, as a tuple; empty when it is not found.
 
-    The library is ``_bundled_openblas()``, the one scipy's extensions, and
-    so LAPACK's banded solve ``dtbtrs`` of every shifted solve, call into.
-    An ILP64 build exports its setter under another name and gives none.
-    scipy's BLAS runs L-BFGS-B and every shifted solve, so a pool
-    worker holds it to one thread: on a 2-CPU host with no thread variables
-    set, workers that held no BLAS made the default p=0.5 study about 4 times
+    The setter is looked up in ``scale._flapack()``'s own file, which the
+    dynamic loader resolves through that extension's link to the OpenBLAS it
+    calls: the library of LAPACK's banded solve ``dtbtrs`` in every shifted
+    solve, and of L-BFGS-B's ``setulb``.  A file that cannot be opened gives
+    none, and so does a BLAS that exports no ``scipy_openblas_set_num_threads``
+    (a conda or system scipy, an ILP64 build).  A pool worker holds that
+    library to one thread: on a 2-CPU host with no thread variables set,
+    workers that held no BLAS made the default p=0.5 study about 4 times
     slower in the median (4.9-12.0 s against 1.4-2.3 s, six runs each), with
-    byte-identical reports.  numpy's BLAS runs no product in a solve and
-    is left alone: holding it to one thread as well moved that study's time
-    by less than its run-to-run spread (3.38-4.36 s against 3.32-4.04 s, six
-    runs each).
+    byte-identical reports.  numpy's BLAS runs no product in a solve and is
+    left alone: holding it to one thread as well moved that study's time by
+    less than its run-to-run spread (3.38-4.36 s against 3.32-4.04 s, six runs
+    each).
     """
-    setter = getattr(_bundled_openblas(), _OPENBLAS_SETTER, None)
-    if setter is None:
+    path = scale._flapack().__file__
+    try:
+        setter = getattr(ctypes.CDLL(path), _OPENBLAS_SETTER)
+    except (OSError, AttributeError):
         return ()
     setter.argtypes, setter.restype = [ctypes.c_int], None
     return (setter,)
@@ -294,9 +279,10 @@ def _worker_count(n_tasks: int) -> int:
 
     Usable CPUs are the affinity mask cut to the cgroup CPU quota.  The count
     is 1 (no pool) off Linux, and when a worker could not hold scipy's BLAS to
-    one thread: neither the setter of scipy's bundled OpenBLAS nor the thread
-    variables do it, and uncapped BLAS threads of several workers fight over
-    the cores.
+    one thread: neither the setter of scipy's bundled OpenBLAS, found through
+    the ``_flapack`` extension of the shifted solve (``_bundled_blas_setters``),
+    nor the thread variables do it, and uncapped BLAS threads of several
+    workers fight over the cores.
     """
     if not hasattr(os, "sched_getaffinity"):
         return 1

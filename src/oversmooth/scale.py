@@ -5,10 +5,12 @@ trapezoid weights, is lower triangular with diagonal h/2 (first row zero), so
 shifted systems (G + beta I) v = f solve in O(n) by forward substitution;
 differenced, that substitution is one unit lower-bidiagonal system, which
 LAPACK's banded triangular solve (``dtbtrs``) takes for a whole block at once.
-That routine is called from scipy's ``linalg._flapack`` extension, loaded
-alone on the first solve, so the operator calculus imports no scipy Python
-package; only where that file cannot be loaded alone is the extension
-imported, and ``scipy.linalg`` with it.  On
+That routine is called from scipy's ``linalg._flapack`` extension
+(``_flapack``), loaded alone on the first solve, so the operator calculus
+imports no scipy Python package; only where that file cannot be loaded alone
+is the extension imported, and ``scipy.linalg`` with it.  The OpenBLAS that
+file links is the one whose thread setter the harness's worker pool finds
+through it.  On
 the grid the operator is of positive type with constant kappa_* = 2, i.e.
 ||(G + beta I)^-1|| <= 2/beta in the sup operator norm for every beta > 0.
 
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
 from types import ModuleType
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -255,32 +257,34 @@ def _scipy_extension(module: str) -> ModuleType | None:
 
 
 @functools.cache
-def _banded_solve() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``solve(band, rhs)``: LAPACK's ``dtbtrs`` with uplo="U", trans="T", diag="U", kd=1.
+def _flapack() -> ModuleType:
+    """scipy's ``linalg._flapack`` extension, loaded alone (``_scipy_extension``), or imported where it cannot be.
 
-    ``band`` is the (2, m) upper band and ``rhs`` the (k, m) or (m,) array of
-    right-hand sides; a C-ordered float64 ``rhs`` is the Fortran-ordered
-    (m, k) array LAPACK takes, and is solved in place and returned.  The
-    routine is that of scipy's ``linalg._flapack`` extension, loaded alone
-    (``_scipy_extension``), or imported where it cannot be.
+    Its ``dtbtrs`` runs every shifted solve, and the pool's OpenBLAS thread
+    setter (``harness._bundled_blas_setters``) is looked up through its file.
     """
     flapack = _scipy_extension("linalg._flapack")
     if flapack is None:
         from scipy.linalg import _flapack as flapack
-    dtbtrs = flapack.dtbtrs
+    return flapack
 
-    def solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        # f2py does not compare the two lengths: a short band solves without an error, wrongly.
-        if band.shape[-1] != rhs.shape[-1]:
-            raise ValueError(f"dtbtrs band has {band.shape[-1]} columns for right-hand sides of length {rhs.shape[-1]}")
-        if rhs.size == 0:  # the wrapper writes outside an empty (m, 0) array for m > 1
-            return rhs
-        x, info = dtbtrs(band, rhs.T, uplo="U", trans="T", diag="U", overwrite_b=True)
-        if info != 0:
-            raise RuntimeError(f"LAPACK dtbtrs returned info={info}")
-        return x.T
 
-    return solve
+def _banded_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """LAPACK's ``dtbtrs`` from ``_flapack()`` with uplo="U", trans="T", diag="U", kd=1.
+
+    ``band`` is the (2, m) upper band and ``rhs`` the (k, m) or (m,) array of
+    right-hand sides; a C-ordered float64 ``rhs`` is the Fortran-ordered
+    (m, k) array LAPACK takes, and is solved in place and returned.
+    """
+    # f2py does not compare the two lengths: a short band solves without an error, wrongly.
+    if band.shape[-1] != rhs.shape[-1]:
+        raise ValueError(f"dtbtrs band has {band.shape[-1]} columns for right-hand sides of length {rhs.shape[-1]}")
+    if rhs.size == 0:  # the wrapper writes outside an empty (m, 0) array for m > 1
+        return rhs
+    x, info = _flapack().dtbtrs(band, rhs.T, uplo="U", trans="T", diag="U", overwrite_b=True)
+    if info != 0:
+        raise RuntimeError(f"LAPACK dtbtrs returned info={info}")
+    return x.T
 
 
 @dataclass(frozen=True)
@@ -379,7 +383,7 @@ class ScaleOperator:
         rhs = np.subtract(f[..., 1:], f[..., :-1], dtype=float, order="C")
         rhs[..., 0] = f[..., 1] - h2 * first
         rhs /= d
-        out[..., 1:] = _banded_solve()(band, rhs)
+        out[..., 1:] = _banded_solve(band, rhs)
         return out
 
     # -- fractional powers ---------------------------------------------------

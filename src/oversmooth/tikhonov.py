@@ -240,6 +240,8 @@ class TikhonovProblem:
         coupling_exponent(self.r, self.a)  # raises unless r and a are positive and finite
         if not 0.0 <= self.delta < math.inf:
             raise ValueError(f"delta must be nonnegative and finite, got {self.delta:g}")
+        self.forward_problem.op._check_size(self.f_delta)
+        self.forward_problem.op._check_size(self.u_bar_witness)
 
     @cached_property
     def u_bar(self) -> GridFunction:
@@ -259,6 +261,8 @@ def objective(prob: TikhonovProblem, u: GridFunction, v_witness: GridFunction) -
     exactly; where that T is inf, an OverflowError names F or the r-th power.
     """
     op = prob.forward_problem.op
+    op._check_size(u)
+    op._check_size(v_witness)
     u_from_v = prob.u_bar.values + op._apply_values(v_witness.values)
     scale = 1.0 + np.max(np.abs(u.values))
     if np.max(np.abs(u.values - u_from_v)) > 1e-8 * scale:

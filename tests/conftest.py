@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -17,6 +18,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_process_left_running():
+    """Fail the session if a pool worker outlives its pool (``multiprocessing`` is not imported for this)."""
+    yield
+    if "multiprocessing" in sys.modules:
+        assert sys.modules["multiprocessing"].active_children() == []
 
 
 @pytest.fixture(scope="session")

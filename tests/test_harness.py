@@ -1,12 +1,12 @@
 import ctypes
 import dataclasses
 import hashlib
-import importlib.machinery
-import importlib.util
+import importlib
 import json
 import os
 import re
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -459,26 +459,28 @@ def test_worker_count_is_one_without_affinity(monkeypatch):
     assert harness._worker_count(16) == 1
 
 
-def test_no_blas_setter_without_the_symbol(monkeypatch):
-    # A library that does not export OpenBLAS's thread setter gives no setter, so no pool on its account.
-    harness._bundled_blas_setters.cache_clear()
-    monkeypatch.setattr(harness, "_bundled_openblas", lambda: ctypes.CDLL(None))
-    assert harness._bundled_blas_setters() == ()
+def test_no_blas_setter_without_the_symbol(monkeypatch, tmp_path):
+    # A library that does not export OpenBLAS's thread setter, or a file that is no library, gives no
+    # setter, so no pool on its account.
+    (tmp_path / "not_a_library.so").write_bytes(b"not a library")
+    for path in (None, str(tmp_path / "not_a_library.so")):
+        monkeypatch.setattr(scale, "_flapack", lambda: SimpleNamespace(__file__=path))
+        harness._bundled_blas_setters.cache_clear()
+        assert harness._bundled_blas_setters() == ()
     monkeypatch.undo()
     harness._bundled_blas_setters.cache_clear()
 
 
-def test_no_bundle_without_scipy_libs(monkeypatch, tmp_path):
-    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
-    spec.submodule_search_locations = [str(tmp_path / "scipy")]
-    (tmp_path / "scipy.libs").mkdir()
-    (tmp_path / "scipy.libs" / "libscipy_openblas-0.so").write_bytes(b"not a library")
-    for found in (None, spec):
-        monkeypatch.setattr(importlib.util, "find_spec", lambda name: found)
-        harness._bundled_openblas.cache_clear()
-        assert harness._bundled_openblas() is None
-    monkeypatch.undo()
-    harness._bundled_openblas.cache_clear()
+@pytest.mark.skipif(not harness._bundled_blas_setters(), reason="scipy has no bundled OpenBLAS")
+def test_blas_setter_caps_the_library_of_setulb_too():
+    # The setter found through _flapack is the very function _lbfgsb's library resolves, so one cap
+    # holds both dtbtrs and setulb.
+    lbfgsb = scale._scipy_extension("optimize._lbfgsb")
+    if lbfgsb is None:
+        pytest.skip("scipy's _lbfgsb cannot be loaded alone")
+    (setter,) = harness._bundled_blas_setters()
+    via_lbfgsb = ctypes.CDLL(lbfgsb.__file__).scipy_openblas_set_num_threads
+    assert ctypes.cast(setter, ctypes.c_void_p).value == ctypes.cast(via_lbfgsb, ctypes.c_void_p).value
 
 
 @pytest.mark.parametrize(
@@ -507,7 +509,7 @@ def test_quota_cpus_reads_cgroup_files(monkeypatch, tmp_path, cpu_max, cfs, expe
 
 
 def _bundled_blas_threads() -> int:
-    getter = harness._bundled_openblas().scipy_openblas_get_num_threads
+    getter = ctypes.CDLL(scale._flapack().__file__).scipy_openblas_get_num_threads
     getter.argtypes, getter.restype = [], ctypes.c_int
     return getter()
 

@@ -116,11 +116,12 @@ needs_setulb = pytest.mark.skipif(tikhonov._setulb() is None, reason="L-BFGS-B's
 @needs_setulb
 def test_extensions_load_alone_through_one_loader():
     # setulb and dtbtrs both come through scale._scipy_extension, whose loader is the only one in the
-    # package, and neither leaves a scipy entry in sys.modules.
+    # package, and neither leaves a scipy entry in sys.modules.  _flapack loads once, also when the
+    # pool's BLAS thread setter is looked up through it.
     probe = """
 import json
 import sys
-from oversmooth import scale, tikhonov
+from oversmooth import harness, scale, tikhonov
 
 loads = []
 
@@ -130,7 +131,8 @@ class CountingLoader(scale.ExtensionFileLoader):
         super().exec_module(module)
 
 scale.ExtensionFileLoader = CountingLoader
-found = [tikhonov._setulb() is not None, scale._banded_solve() is not None]
+found = [tikhonov._setulb() is not None, scale._flapack() is scale._flapack()]
+harness._bundled_blas_setters()
 print(json.dumps([found, loads, hasattr(tikhonov, "ExtensionFileLoader"), [m for m in sys.modules if m.split(".")[0] == "scipy"]]))
 """
     assert run_probe(probe) == [[True, True], ["scipy.optimize._lbfgsb", "scipy.linalg._flapack"], False, []]

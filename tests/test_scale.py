@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -198,9 +199,9 @@ def binding(request, monkeypatch):
         pytest.skip("scipy's _flapack cannot be loaded alone")
     if request.param == "fallback":
         monkeypatch.setattr(scale, "_scipy_extension", lambda module: None)
-    scale._banded_solve.cache_clear()
+    scale._flapack.cache_clear()
     yield request.param
-    scale._banded_solve.cache_clear()
+    scale._flapack.cache_clear()
 
 
 def lapack_solve(op, beta, f):
@@ -241,11 +242,7 @@ def test_bindings_match_scipy_dtbtrs(binding, n):
 @pytest.mark.parametrize("n", [2, 65, 4097])
 def test_bindings_take_empty_blocks(binding, monkeypatch, n):
     # The wrapper must never see an empty block: it writes outside an empty (m, 0) array when m > 1.
-    if binding == "bundled":
-        flapack = scale._scipy_extension("linalg._flapack")
-        monkeypatch.setattr(scale, "_scipy_extension", lambda module: flapack)
-    else:
-        from scipy.linalg import _flapack as flapack
+    flapack = scale._flapack()  # the binding fixture cleared its cache, so this is the route under test
     wrapper, calls = flapack.dtbtrs, []
 
     def nonempty_only(ab, b, **kwargs):
@@ -254,7 +251,6 @@ def test_bindings_take_empty_blocks(binding, monkeypatch, n):
         return wrapper(ab, b, **kwargs)
 
     monkeypatch.setattr(flapack, "dtbtrs", nonempty_only)
-    scale._banded_solve.cache_clear()
     op = ScaleOperator(n)
     assert op._solve_values(0.1, np.empty((0, n))).shape == (0, n)
     f = np.random.default_rng(n).uniform(-1.0, 1.0, (2, n))
@@ -266,7 +262,6 @@ def test_bindings_take_empty_blocks(binding, monkeypatch, n):
 def test_bundled_binding_checks_arrays_before_lapack(bad):
     # f2py converts a band or right-hand sides of another order or dtype before LAPACK sees them, so the
     # values are scipy.linalg.lapack's; it does not compare their lengths, so the binding must.
-    scale._banded_solve.cache_clear()
     m = 16
     band = np.asfortranarray(np.full((2, m), -0.5))
     rhs = np.random.default_rng(m).uniform(-1.0, 1.0, (3, m))
@@ -278,11 +273,20 @@ def test_bundled_binding_checks_arrays_before_lapack(bad):
         rhs = np.asfortranarray(rhs)
     else:
         with pytest.raises(ValueError, match="^dtbtrs band has 15 columns for right-hand sides of length 16$"):
-            scale._banded_solve()(np.asfortranarray(band[:, 1:]), rhs)
+            scale._banded_solve(np.asfortranarray(band[:, 1:]), rhs)
         return
     expected = lapack_dtbtrs(band, rhs.astype(np.float64))
-    assert np.array_equal(scale._banded_solve()(band, rhs), expected)
-    scale._banded_solve.cache_clear()
+    assert np.array_equal(scale._banded_solve(band, rhs), expected)
+
+
+def test_banded_solve_raises_on_lapack_info(monkeypatch):
+    # dtbtrs with diag="U" cannot report a singular system, so a nonzero info means the call went wrong.
+    def failing_dtbtrs(ab, b, **kwargs):
+        return b, 1
+
+    monkeypatch.setattr(scale, "_flapack", lambda: SimpleNamespace(dtbtrs=failing_dtbtrs))
+    with pytest.raises(RuntimeError, match="^LAPACK dtbtrs returned info=1$"):
+        ScaleOperator(65)._solve_values(0.1, np.ones(65))
 
 
 def test_resolvent_norm_bound_random():

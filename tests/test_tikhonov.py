@@ -128,6 +128,25 @@ def test_objective_rejects_inconsistent_pair(setup):
         objective(prob, GridFunction.ones(256), GridFunction.zeros(256))
 
 
+@pytest.mark.parametrize("entry", ["f_delta", "u_bar_witness", "objective u", "objective v_witness", "derivative h"])
+def test_wrong_grid_size_is_rejected_where_it_enters(op64, entry):
+    # A 65-point f_delta would build a problem that minimize fails on later, with numpy's broadcast
+    # error; each entry point rejects a wrong size at once, naming both sizes.
+    problem = make_problem(op64, GridFunction.zeros(64))
+    right, wrong = GridFunction.zeros(64), GridFunction.zeros(65)
+    with pytest.raises(ValueError, match="^grid size mismatch: operator has n=64, input has n=65$"):
+        if entry == "f_delta":
+            TikhonovProblem(problem, wrong, 0.1, right, 0.1)
+        elif entry == "u_bar_witness":
+            TikhonovProblem(problem, problem.f_true, 0.1, wrong, 0.1)
+        elif entry == "derivative h":
+            problem.derivative(right, wrong)
+        else:
+            prob = TikhonovProblem(problem, problem.f_true, 0.1, right, 0.1)
+            u, v = (wrong, right) if entry == "objective u" else (right, wrong)
+            objective(prob, u, v)
+
+
 @pytest.mark.parametrize("r", [1.0, 2.0])
 def test_overflowing_witness_scores_inf(setup, r):
     # G G v passes exp's overflow threshold on the right half of the grid only: T and
