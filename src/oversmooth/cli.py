@@ -50,8 +50,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The config file's values overridden by the flags, validated together once."""
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     flags = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    if "regime" in flags:
-        flags["regime"] = REGIME_NAMES[flags["regime"]]
     if args.config is None:
         return ExperimentConfig(**flags)
     return parse_config_file(args.config, flags)

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence, TypeVar, get_type_hints
 
 import numpy as np
 
-from . import __version__, scale, tikhonov
+from . import __version__, scale
 from .exp_volterra import ExpVolterraProblem, NoiseSpec, add_noise, make_problem, make_truth, nonlinearity_check
 from .fitting import NOISE_FLOOR, fit_slope
 from .grids import GridFunction, csv_table
@@ -59,7 +59,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-#: The CLI's regime spellings -> ``ExperimentConfig.regime``; config files accept both forms.
+#: The regime spellings of the CLI -> those ``ExperimentConfig.regime`` stores; it takes both forms.
 REGIME_NAMES = {"none": "none", "hoelder": "hoelder", "low-order": "low_order"}
 
 
@@ -110,7 +110,8 @@ class ExperimentConfig:
             raise ValueError(f"n_seeds must be at most {_MAX_SEEDS}")
         if self.grid_n < 64:
             raise ValueError("grid_n must be at least 64")
-        if self.regime not in ("none", "hoelder", "low_order"):
+        object.__setattr__(self, "regime", REGIME_NAMES.get(self.regime, self.regime))
+        if self.regime not in REGIME_NAMES.values():
             raise ValueError(f"unknown regime: {self.regime!r}")
         if self.m < 1 + self.a:
             raise ValueError("need saturation m >= 1 + a")
@@ -228,14 +229,14 @@ _CGROUP_CFS_PERIOD = Path("/sys/fs/cgroup/cpu/cpu.cfs_period_us")
 
 
 @functools.cache
-def _bundled_blas_setters() -> tuple[Callable[[int], None], ...]:
-    """The thread-count setter of scipy's bundled OpenBLAS, as a tuple; empty when it is not found.
+def _bundled_blas_setter() -> Callable[[int], None] | None:
+    """The thread-count setter of scipy's bundled OpenBLAS, or None when it is not found.
 
     The setter is looked up in ``scale._flapack()``'s own file, which the
     dynamic loader resolves through that extension's link to the OpenBLAS it
     calls: the library of LAPACK's banded solve ``dtbtrs`` in every shifted
     solve, and of L-BFGS-B's ``setulb``.  A file that cannot be opened gives
-    none, and so does a BLAS that exports no ``scipy_openblas_set_num_threads``
+    None, and so does a BLAS that exports no ``scipy_openblas_set_num_threads``
     (a conda or system scipy, an ILP64 build).  A pool worker holds that
     library to one thread: on a 2-CPU host with no thread variables set,
     workers that held no BLAS made the default p=0.5 study about 4 times
@@ -249,9 +250,9 @@ def _bundled_blas_setters() -> tuple[Callable[[int], None], ...]:
     try:
         setter = getattr(ctypes.CDLL(path), _OPENBLAS_SETTER)
     except (OSError, AttributeError):
-        return ()
+        return None
     setter.argtypes, setter.restype = [ctypes.c_int], None
-    return (setter,)
+    return setter
 
 
 def _env_blas_one_thread() -> bool:
@@ -279,16 +280,16 @@ def _worker_count(n_tasks: int) -> int:
 
     Usable CPUs are the affinity mask cut to the cgroup CPU quota.  The count
     is 1 (no pool) off Linux, and when a worker could not hold scipy's BLAS to
-    one thread: neither the setter of scipy's bundled OpenBLAS, found through
-    the ``_flapack`` extension of the shifted solve (``_bundled_blas_setters``),
-    nor the thread variables do it, and uncapped BLAS threads of several
-    workers fight over the cores.
+    one thread: neither the one thread-count setter of scipy's bundled
+    OpenBLAS, found through the ``_flapack`` extension of the shifted solve
+    (``_bundled_blas_setter``), nor the thread variables do it, and uncapped
+    BLAS threads of several workers fight over the cores.
     """
     if not hasattr(os, "sched_getaffinity"):
         return 1
     cpus = len(os.sched_getaffinity(0))
     workers = min(cpus, _quota_cpus() or cpus, n_tasks)
-    if workers == 1 or not (_env_blas_one_thread() or _bundled_blas_setters()):
+    if workers == 1 or not (_env_blas_one_thread() or _bundled_blas_setter() is not None):
         return 1
     return workers
 
@@ -298,9 +299,10 @@ _pool_fn: Callable | None = None
 
 
 def _start_pool_worker(fn: Callable) -> None:
+    """Set the worker's task function, and hold scipy's OpenBLAS to one thread with its setter, if found."""
     global _pool_fn
     _pool_fn = fn
-    for setter in _bundled_blas_setters():
+    if (setter := _bundled_blas_setter()) is not None:
         setter(1)
 
 
@@ -362,27 +364,24 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     are flagged and excluded from the fit; more than half uncertified aborts
     the study.
 
-    The (level, draw) solves are independent, so on Linux they run on a pool
-    of forked worker processes, one per CPU this process may use (its
-    affinity mask cut to its cgroup CPU quota, at most one per solve), each
-    with scipy's BLAS, which the solves run on, held to one thread.  They run
-    in this process instead when there is one worker, or when that BLAS cannot
-    be held to one thread per worker: the scipy wheel's bundled OpenBLAS can
-    be, and any BLAS can be through OMP_NUM_THREADS=1 (with OPENBLAS_, MKL_
-    and BLIS_NUM_THREADS unset or 1).  The quota is read from the cgroup
-    files a container sees as its own; a quota set on an ancestor cgroup is
-    not seen.  The tasks are dealt round-robin into one group per worker, and
-    each group is solved as one block by ``tikhonov.minimize_many``, its
-    descents in lockstep (with one worker, all tasks are one block in this
-    process).  Each solve's floats are its own whatever block it is in, and
-    results are put back in task order, so the report is byte-identical
-    whatever the worker count.  An exception from a solve,
-    such as a ``QuadratureError``, reaches the caller with its type.  The
-    pool is ``_pool_map``'s, and a pool worker cannot start one, so the study
-    never runs in a worker: ``run_suite`` runs it in the caller, after its
-    pooled suites.  L-BFGS-B's ``setulb``, which the solver loads on its
-    first solve, is loaded in this process before the pool forks, so each
-    worker inherits it instead of loading it again.
+    The (level, draw) solves are independent, so on Linux they run on a pool of
+    forked worker processes, one per CPU this process may use (its affinity
+    mask cut to its cgroup CPU quota, at most one per solve), each with scipy's
+    BLAS, which the solves run on, held to one thread.  They run in this
+    process instead when there is one worker, or when that BLAS cannot be held
+    to one thread per worker: the scipy wheel's bundled OpenBLAS can be, and
+    any BLAS can be through OMP_NUM_THREADS=1 (with OPENBLAS_, MKL_ and
+    BLIS_NUM_THREADS unset or 1).  The quota is read from the cgroup files a
+    container sees as its own; a quota set on an ancestor cgroup is not seen.
+    The tasks are dealt round-robin into one group per worker, and each group
+    is solved as one block by ``minimize_many``, its descents in lockstep (with
+    one worker, all tasks are one block in this process).  Each solve's floats
+    are its own whatever block it is in, and results are put back in task
+    order, so the report is byte-identical whatever the worker count.  An
+    exception from a solve, such as a ``QuadratureError``, reaches the caller
+    with its type.  The pool is ``_pool_map``'s, and a pool worker cannot start
+    one, so the study never runs in a worker: ``run_suite`` runs it in the
+    caller, after its pooled suites.
     """
     quad = cfg.quadrature()
     op = ScaleOperator(cfg.grid_n)
@@ -396,7 +395,6 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     tasks = [(i, j) for i in range(len(cfg.delta_list)) for j in range(cfg.n_seeds)]
     workers = _worker_count(len(tasks))
     groups = [tasks[w::workers] for w in range(workers)]
-    tikhonov._load_lbfgs()  # before the fork, so the workers inherit the loaded setulb
     solved: list = [None] * len(tasks)
     for w, group in enumerate(_pool_map(lambda group: _solve_group(study, group), groups)):
         solved[w::workers] = group
@@ -633,9 +631,8 @@ def run_suite(names: Sequence[str], cfg: ExperimentConfig | None = None) -> list
 def parse_config_file(path: str | Path, overrides: dict[str, object] | None = None) -> ExperimentConfig:
     """Read a key = value text file of ExperimentConfig fields, each parsed as its annotated type.
 
-    ``delta_list`` is comma separated, and ``regime`` also takes the CLI spellings of ``REGIME_NAMES``.
-    The ``overrides`` fields replace the file's, and the result is validated once; an invalid
-    result names the file, unless the overrides alone are invalid.
+    ``delta_list`` is comma separated.  The ``overrides`` fields replace the file's, and the result
+    is validated once; an invalid result names the file, unless the overrides alone are invalid.
     """
     overrides = overrides or {}
     values = {**_config_file_values(path), **overrides}
@@ -651,7 +648,6 @@ def _config_file_values(path: str | Path) -> dict[str, object]:
     parsers = {
         **get_type_hints(ExperimentConfig),
         "delta_list": lambda value: tuple(float(tok) for tok in value.split(",") if tok.strip()),
-        "regime": lambda value: REGIME_NAMES.get(value, value),
     }
     values: dict[str, object] = {}
     set_on: dict[str, int] = {}

@@ -152,8 +152,8 @@ def decay_check(
     if not plist:
         raise ValueError("need at least one power order")
     for p in plist:
-        if p < 0.0:
-            raise ValueError("power order must be nonnegative")
+        if not 0.0 <= p < np.inf:
+            raise ValueError(f"power order must be nonnegative and finite, got {p:g}")
         if p > fam.saturation:
             raise ValueError(f"power order {p} exceeds the saturation {fam.saturation}")
     blist = [float(b) for b in betas]

@@ -260,8 +260,8 @@ def _scipy_extension(module: str) -> ModuleType | None:
 def _flapack() -> ModuleType:
     """scipy's ``linalg._flapack`` extension, loaded alone (``_scipy_extension``), or imported where it cannot be.
 
-    Its ``dtbtrs`` runs every shifted solve, and the pool's OpenBLAS thread
-    setter (``harness._bundled_blas_setters``) is looked up through its file.
+    Its ``dtbtrs`` runs every shifted solve, and the pool's one OpenBLAS thread-count
+    setter (``harness._bundled_blas_setter``) is looked up through its file.
     """
     flapack = _scipy_extension("linalg._flapack")
     if flapack is None:
@@ -399,8 +399,8 @@ class ScaleOperator:
         Integer parts are applied exactly; a fractional remainder q in (0, 1)
         is evaluated with the truncated log-substituted Balakrishnan integral.
         """
-        if p < 0.0:
-            raise ValueError("fractional order must be nonnegative")
+        if not 0.0 <= p < math.inf:
+            raise ValueError(f"fractional order must be nonnegative and finite, got {p:g}")
         self._check_size(u)
         k, q = split_order(p)
         vals = u.values
@@ -460,8 +460,8 @@ def log_smooth_element(
     tolerance whose kernels would take more than ``_MAX_LOG_CLASS_WORK`` are
     rejected before any is built.
     """
-    if lam <= GROWTH_BOUND:
-        raise ValueError(f"lam must exceed the growth bound {GROWTH_BOUND}")
+    if not GROWTH_BOUND < lam < math.inf:
+        raise ValueError(f"lam must exceed the growth bound {GROWTH_BOUND} and be finite, got {lam:g}")
     op._check_size(w)
     per_unit = math.ceil(1.0 / cfg.step - 1e-9)
     dq = 1.0 / per_unit
@@ -537,8 +537,8 @@ def riemann_liouville(p: float, u: GridFunction) -> GridFunction:
     at that length they cannot wrap, and an odd length such as 2n - 1 would
     take numpy's much slower path.
     """
-    if p <= 0.0:
-        raise ValueError("fractional order must be positive")
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"fractional order must be positive and finite, got {p:g}")
     n = u.n
     h = u.h
     k = np.arange(n, dtype=float)

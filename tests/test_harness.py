@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import math
 import os
 import re
 import time
@@ -59,6 +60,14 @@ def test_fit_slope_validation():
         fit_slope([(1e-1, 1.0), (1e-2, 0.5)])
     with pytest.raises(ValueError):
         fit_slope([(1e-1, 1.0), (1e-2, 0.5), (1e-3, -0.1)])
+
+
+@pytest.mark.parametrize("bad", [(2.0, math.nan), (math.inf, 1.0), (2.0, math.inf)])
+def test_fit_slope_rejects_non_finite_points(bad):
+    # A NaN point would give a NaN slope, and an infinite one a NaN with RuntimeWarnings; the error names it.
+    message = f"slope fitting needs strictly positive, finite points, got {bad}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit_slope([(1.0, 1.0), bad, (3.0, 1.0)])
 
 
 # -- config ---------------------------------------------------------------------
@@ -171,6 +180,12 @@ def test_config_file_accepts_cli_regime_spelling(tmp_path, spelling):
     assert parse_config_file(path).regime == "low_order"
     argv = ["rate-study", "--config", str(path)]
     assert _config_from_args(build_parser().parse_args(argv)).regime == "low_order"
+
+
+def test_config_takes_the_cli_regime_spelling():
+    # One vocabulary: "low-order" is stored as "low_order", so the frozen report is the same either way.
+    assert ExperimentConfig(regime="low-order") == ExperimentConfig(regime="low_order")
+    assert ExperimentConfig(regime="low-order").regime == "low_order"
 
 
 def test_config_file_invalid_config_names_file(tmp_path, capsys):
@@ -441,8 +456,9 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "B
     ],
 )
 def test_worker_count_needs_one_blas_thread(monkeypatch, setters, env, quota, n_tasks, expected):
+    # ``setters`` holds the setter found, if any.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    monkeypatch.setattr(harness, "_bundled_blas_setters", lambda: setters)
+    monkeypatch.setattr(harness, "_bundled_blas_setter", lambda: setters[0] if setters else None)
     monkeypatch.setattr(harness, "_quota_cpus", lambda: quota)
     for var in _THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
@@ -454,7 +470,7 @@ def test_worker_count_needs_one_blas_thread(monkeypatch, setters, env, quota, n_
 def test_worker_count_is_one_without_affinity(monkeypatch):
     # Off Linux there is no os.sched_getaffinity: the tasks run in the calling process.
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(harness, "_bundled_blas_setters", lambda: (print,))
+    monkeypatch.setattr(harness, "_bundled_blas_setter", lambda: print)
     monkeypatch.setattr(harness, "_quota_cpus", lambda: None)
     assert harness._worker_count(16) == 1
 
@@ -465,20 +481,20 @@ def test_no_blas_setter_without_the_symbol(monkeypatch, tmp_path):
     (tmp_path / "not_a_library.so").write_bytes(b"not a library")
     for path in (None, str(tmp_path / "not_a_library.so")):
         monkeypatch.setattr(scale, "_flapack", lambda: SimpleNamespace(__file__=path))
-        harness._bundled_blas_setters.cache_clear()
-        assert harness._bundled_blas_setters() == ()
+        harness._bundled_blas_setter.cache_clear()
+        assert harness._bundled_blas_setter() is None
     monkeypatch.undo()
-    harness._bundled_blas_setters.cache_clear()
+    harness._bundled_blas_setter.cache_clear()
 
 
-@pytest.mark.skipif(not harness._bundled_blas_setters(), reason="scipy has no bundled OpenBLAS")
+@pytest.mark.skipif(harness._bundled_blas_setter() is None, reason="scipy has no bundled OpenBLAS")
 def test_blas_setter_caps_the_library_of_setulb_too():
     # The setter found through _flapack is the very function _lbfgsb's library resolves, so one cap
     # holds both dtbtrs and setulb.
     lbfgsb = scale._scipy_extension("optimize._lbfgsb")
     if lbfgsb is None:
         pytest.skip("scipy's _lbfgsb cannot be loaded alone")
-    (setter,) = harness._bundled_blas_setters()
+    setter = harness._bundled_blas_setter()
     via_lbfgsb = ctypes.CDLL(lbfgsb.__file__).scipy_openblas_set_num_threads
     assert ctypes.cast(setter, ctypes.c_void_p).value == ctypes.cast(via_lbfgsb, ctypes.c_void_p).value
 
@@ -522,7 +538,7 @@ def _blas_threads_suite(cfg):
     return CheckResult("blas-threads", True, (str(_bundled_blas_threads()), str(os.getpid())), {})
 
 
-@pytest.mark.skipif(not harness._bundled_blas_setters(), reason="scipy has no bundled OpenBLAS")
+@pytest.mark.skipif(harness._bundled_blas_setter() is None, reason="scipy has no bundled OpenBLAS")
 def test_pool_workers_run_one_blas_thread(monkeypatch):
     # Each worker, of a study or of the suites, holds scipy's OpenBLAS to one thread; the caller's is untouched.
     before = _bundled_blas_threads()

@@ -132,7 +132,7 @@ class CountingLoader(scale.ExtensionFileLoader):
 
 scale.ExtensionFileLoader = CountingLoader
 found = [tikhonov._setulb() is not None, scale._flapack() is scale._flapack()]
-harness._bundled_blas_setters()
+harness._bundled_blas_setter()
 print(json.dumps([found, loads, hasattr(tikhonov, "ExtensionFileLoader"), [m for m in sys.modules if m.split(".")[0] == "scipy"]]))
 """
     assert run_probe(probe) == [[True, True], ["scipy.optimize._lbfgsb", "scipy.linalg._flapack"], False, []]
@@ -201,10 +201,10 @@ print(json.dumps([calls, tikhonov._lbfgs is counting]))
 
 
 @needs_setulb
-def test_rate_study_loads_setulb_once_before_the_pool_forks():
-    # The caller loads the extension once, before the fork; each worker finds it
-    # loaded, solves its group without loading it again, and imports no
-    # scipy.optimize, and neither does the caller.
+def test_pooled_rate_study_loads_setulb_only_in_its_workers():
+    # The caller of a pooled study solves nothing and never loads the extension;
+    # each worker loads it once, on its first solve.  No process imports
+    # scipy.optimize.
     probe = """
 import json
 import os
@@ -229,9 +229,9 @@ reports = tempfile.TemporaryDirectory()
 solve_group = harness._solve_group
 
 def reporting(study, tasks):
-    inherited = tikhonov._setulb.cache_info().currsize == 1
+    loaded_before = tikhonov._setulb.cache_info().currsize
     solved = solve_group(study, tasks)
-    Path(reports.name, str(os.getpid())).write_text(json.dumps([inherited, loads, "scipy.optimize" in sys.modules]))
+    Path(reports.name, str(os.getpid())).write_text(json.dumps([loaded_before, loads, "scipy.optimize" in sys.modules]))
     return solved
 
 harness._worker_count = lambda n_tasks: min(2, n_tasks)
@@ -241,28 +241,30 @@ rows = ov.run_rate_study(cfg).rows
 workers = {int(f.name): json.loads(f.read_text()) for f in Path(reports.name).iterdir()}
 reports.cleanup()
 print(json.dumps([
-    loads == [os.getpid()],
+    loads,
     "scipy.optimize" in sys.modules,
     len(workers),
     os.getpid() in workers,
-    [report == [True, [os.getpid()], False] for report in workers.values()],
+    [report == [0, [pid], False] for pid, report in workers.items()],
     len(rows),
 ]))
 """
-    assert run_probe(probe) == [True, False, 2, False, [True, True], 4]
+    assert run_probe(probe) == [[], False, 2, False, [True, True], 4]
 
 
 @needs_setulb
 def test_descents_are_the_same_with_scipy_optimize_imported_first():
     # Imported before the first solve, scipy.optimize's minimize is bound and
     # runs each descent (the route a tracer hooks); otherwise descents call
-    # the loop directly.  Both routes give the same result and the same counts.
+    # the loop directly.  Both routes give the same result and the same counts,
+    # for one solve and for a one-worker study, whose four solves descend as
+    # one 4-row block.
     probe = """
 import hashlib
 import json
 import sys
 import oversmooth as ov
-from oversmooth import tikhonov
+from oversmooth import harness, tikhonov
 
 if IMPORT_FIRST:
     import scipy.optimize
@@ -277,11 +279,14 @@ def recording(*args, **kwargs):
 
 tikhonov._lbfgsb = recording
 """ + SOLVE + """
+harness._worker_count = lambda n_tasks: 1
+report = ov.run_rate_study(ov.ExperimentConfig(grid_n=64, delta_list=(1e-1, 1e-2), n_seeds=2), timestamp="fixed")
+study = [hashlib.sha256(text.encode()).hexdigest() for text in (report.to_csv(), report.to_json())]
 bound = tikhonov._lbfgs is not None and tikhonov._lbfgs.__module__.startswith("scipy.optimize")
-print(json.dumps([bound, hashlib.sha256(result.v_min.values.tobytes()).hexdigest(), result.objective, descents]))
+print(json.dumps([bound, hashlib.sha256(result.v_min.values.tobytes()).hexdigest(), result.objective, study, descents]))
 """
     direct = run_probe(probe.replace("IMPORT_FIRST", "False"))
     through_scipy = run_probe(probe.replace("IMPORT_FIRST", "True"))
     assert direct[0] is False and through_scipy[0] is True
     assert direct[1:] == through_scipy[1:]
-    assert len(direct[3]) == 3
+    assert [len(row_nit) for _, _, _, row_nit, _, _ in direct[4]] == [1] * 3 + [4] * 3

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from oversmooth import (
     GridFunction,
     QuadratureConfig,
+    RegularizerFamily,
     ScaleOperator,
+    decay_check,
     interpolation_check,
     log_smooth_element,
     riemann_liouville,
@@ -394,8 +396,31 @@ def test_riemann_liouville_exact_on_constants():
 
 @pytest.mark.parametrize("p", [0.0, -0.5])
 def test_riemann_liouville_rejects_nonpositive_order(p):
-    with pytest.raises(ValueError, match="^fractional order must be positive$"):
+    with pytest.raises(ValueError, match=f"^fractional order must be positive and finite, got {p:g}$"):
         riemann_liouville(p, GridFunction.ones(16))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda op, v: op.power(v, GridFunction.ones(op.n)), "fractional order must be nonnegative and finite"),
+        (lambda op, v: riemann_liouville(v, GridFunction.ones(op.n)), "fractional order must be positive and finite"),
+        (
+            lambda op, v: log_smooth_element(op, GridFunction.ones(op.n), lam=v),
+            "lam must exceed the growth bound 0.5 and be finite",
+        ),
+        (
+            lambda op, v: decay_check(RegularizerFamily(op, m=2), [v], [1e-1, 1e-2]),
+            "power order must be nonnegative and finite",
+        ),
+    ],
+    ids=["power", "riemann_liouville", "log_smooth_element", "decay_check"],
+)
+def test_non_finite_orders_fail_where_they_enter(op64, call, message, value):
+    # Not a failed int conversion, an OverflowError or a RuntimeWarning further in: an error naming the value.
+    with pytest.raises(ValueError, match=f"^{message}, got {value:g}$"):
+        call(op64, value)
 
 
 def test_riemann_liouville_exact_on_linear():

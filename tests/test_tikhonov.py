@@ -578,6 +578,10 @@ def test_soft_abs_max_underflowing_lanes_match_exp(temp):
         assert np.abs(weights[weights != 0.0]).min() < np.finfo(float).tiny
 
 
+def test_minimize_many_of_no_problems_is_empty(op64):
+    assert tikhonov.minimize_many([], RegularizerFamily(op64, m=2), GridFunction.zeros(64)) == []
+
+
 @pytest.mark.parametrize("driver", ["loop", "scipy"])
 def test_minimize_many_matches_one_by_one(op64, quad, monkeypatch, driver):
     # Three problems solved as one block give each problem's own minimize result,
