@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction, csv_table
+from .grids import GridFunction, _integer, csv_table
 from .scale import DEFAULT_QUADRATURE, ROW_BLOCK, QuadratureConfig, ScaleOperator, log_smooth_element
 
 __all__ = [
@@ -143,6 +143,7 @@ class NoiseSpec:
             raise ValueError(f"noise level must be nonnegative and finite, got {self.delta:g}")
         if self.kind not in ("random_sign", "smooth_bump"):
             raise ValueError(f"unknown noise kind: {self.kind!r}")
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
 
 def noise_vector(n: int, spec: NoiseSpec) -> GridFunction:
@@ -223,6 +224,7 @@ def nonlinearity_check(
         eps = prob.c1 / 2.0
     if not 0.0 < eps < prob.c1:
         raise ValueError("eps must lie in (0, c1)")
+    _integer("n_samples", n_samples, 0)
 
     op = prob.op
     rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -95,3 +96,14 @@ def csv_table(header: str, rows: Iterable[Iterable[object]]) -> str:
 
     lines = [header] + [",".join(map(cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _integer(name: str, value: object, least: int | None = None) -> int:
+    """``value`` as a Python int (numpy integers included) of at least ``least``; an error names ``name``."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and n < least:
+        raise ValueError(f"{name} must be {f'at least {least}' if least else 'non-negative'}")
+    return n

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .fitting import NOISE_FLOOR, fit_slope
-from .grids import GridFunction, csv_table
+from .grids import GridFunction, _integer, csv_table
 from .scale import DEFAULT_QUADRATURE, ROW_BLOCK, QuadratureConfig, ScaleOperator, split_order
 
 __all__ = [
@@ -55,8 +55,7 @@ class RegularizerFamily:
     m: int = 2
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("iteration count m must be at least 1")
+        object.__setattr__(self, "m", _integer("m", self.m, 1))
 
     @property
     def saturation(self) -> float:
@@ -94,6 +93,7 @@ def unit_probes(n: int, count: int, seed: int) -> list[GridFunction]:
     followed by ``count`` seeded random draws, alternating sign patterns with
     normalized uniform noise.
     """
+    _integer("count", count, 0)
     x = np.linspace(0.0, 1.0, n)
     probes = [
         GridFunction(np.ones(n)),
@@ -137,7 +137,8 @@ def decay_check(
 ) -> list[DecayReport] | DecayReport:
     """Estimate ||S_beta G^p|| by probe sampling for each order p; one report per order.
 
-    Every order p must lie in [0, m], the family's saturation.  The estimate
+    Every order p must lie in [0, m], the family's saturation, and the betas,
+    at least three for the slope fit, must strictly decrease.  The estimate
     is the largest sup norm of S_beta G^p u over the probes u of
     ``unit_probes``: a reproducible lower bound on the operator norm, adequate
     for slope fits.  The probes are stacked and taken ``ROW_BLOCK`` rows at a
@@ -161,6 +162,9 @@ def decay_check(
         raise ValueError(f"betas must be positive and finite, got {blist}")
     if any(b2 >= b1 for b1, b2 in zip(blist, blist[1:])):
         raise ValueError("betas must be strictly decreasing")
+    if len(blist) < 3:
+        raise ValueError(f"a decay slope fit needs at least three betas, got {len(blist)}")
+    _integer("n_samples", n_samples, 0)
 
     op = fam.op
     probes = np.stack([u.values for u in unit_probes(op.n, n_samples, seed)])
@@ -211,6 +215,10 @@ class AuxiliaryElement:
     one_norm: float  # ||u_aux - u_bar||_1 = sup norm of the witness
 
 
+#: How far, relative to 1 + ||u_true||, the forms of an auxiliary element may disagree.
+_AUX_FORMS_RTOL = 1e-9
+
+
 def auxiliary_element(
     fam: RegularizerFamily,
     beta: float,
@@ -218,13 +226,12 @@ def auxiliary_element(
     u_bar_witness: GridFunction,
     a: float = 1.0,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    tol: float = 1e-9,
 ) -> AuxiliaryElement:
     """Build u_aux(beta) from the truth and the strong-norm witness of u_bar.
 
     Requires saturation m >= 1 + a, the regime in which the element's gap
     quantities carry the error analysis.  Both defining forms are evaluated
-    and must agree to ``tol`` relative; the returned element uses the form
+    and must agree to ``_AUX_FORMS_RTOL`` relative; the returned element uses the form
     u_bar + G R_beta (u_true - u_bar), which makes the witness relation exact.
     """
     if fam.saturation < 1.0 + a:
@@ -241,7 +248,7 @@ def auxiliary_element(
     form_companion = u_true - s
     scale = 1.0 + u_true.sup_norm()
     for other in (form_direct, form_companion):
-        if (form_commuted - other).sup_norm() > tol * scale:
+        if (form_commuted - other).sup_norm() > _AUX_FORMS_RTOL * scale:
             raise InternalConsistencyError(
                 "auxiliary element forms disagree beyond tolerance"
             )

@@ -51,7 +51,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .grids import GridFunction
+from .grids import GridFunction, _integer
 
 __all__ = [
     "KAPPA_STAR",
@@ -295,6 +295,7 @@ class ScaleOperator:
     kappa_star: ClassVar[float] = KAPPA_STAR
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer("n", self.n))
         if self.n < 2:
             raise ValueError("need at least two grid points")
 

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oversmooth import ExperimentConfig, fit_slope, run_rate_study, run_suite
+from oversmooth import ExperimentConfig, RegularizerFamily, ScaleOperator, fit_slope, run_rate_study, run_suite
 from oversmooth.cli import _config_from_args, build_parser, main
 from oversmooth import cli, harness, scale
 from oversmooth.harness import SUITE_NAMES, CheckResult, parse_config_file
@@ -182,6 +182,14 @@ def test_config_file_accepts_cli_regime_spelling(tmp_path, spelling):
     assert _config_from_args(build_parser().parse_args(argv)).regime == "low_order"
 
 
+@pytest.mark.parametrize("command", ["rate-study", "suite"])
+@pytest.mark.parametrize("spelling", ["low-order", "low_order"])
+def test_cli_regime_takes_the_report_spelling(command, spelling):
+    # Reports store "low_order", and config files take it; so does --regime.
+    args = build_parser().parse_args([command, "--regime", spelling])
+    assert _config_from_args(args).regime == "low_order"
+
+
 def test_config_takes_the_cli_regime_spelling():
     # One vocabulary: "low-order" is stored as "low_order", so the frozen report is the same either way.
     assert ExperimentConfig(regime="low-order") == ExperimentConfig(regime="low_order")
@@ -211,6 +219,35 @@ def test_config_rejects_more_draws_than_a_level_has_seeds():
     assert ExperimentConfig(n_seeds=1000).n_seeds == 1000
     with pytest.raises(ValueError, match="^n_seeds must be at most 1000$"):
         ExperimentConfig(n_seeds=1001)
+
+
+@pytest.mark.parametrize(
+    "build, name, value",
+    [
+        (ScaleOperator, "n", 2.5),
+        *((lambda **kw: RegularizerFamily(ScaleOperator(64), **kw), "m", v) for v in (2.5, math.nan, math.inf)),
+        (ExperimentConfig, "grid_n", 64.5),
+        (ExperimentConfig, "m", 2.5),
+        (ExperimentConfig, "seed", 0.5),
+        (ExperimentConfig, "n_seeds", 1.5),
+        (ExperimentConfig, "max_iter", 2.5),
+    ],
+)
+def test_integer_fields_reject_other_numbers(build, name, value):
+    # Rejected where they enter, not by a TypeError mid-study or a 2.5 written into the report.
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        build(**{name: value})
+
+
+def test_integer_fields_store_numpy_integers_as_python_ints():
+    names = ("grid_n", "m", "seed", "n_seeds", "max_iter")
+    cfg = ExperimentConfig(
+        grid_n=np.int64(64), m=np.int32(2), seed=np.int64(0), n_seeds=np.int64(1), max_iter=np.int16(60)
+    )
+    assert [type(getattr(cfg, name)) for name in names] == [int] * len(names)
+    assert json.loads(json.dumps(dataclasses.asdict(cfg)))["n_seeds"] == 1
+    assert type(ScaleOperator(np.int64(64)).n) is int
+    assert type(RegularizerFamily(ScaleOperator(64), m=np.int64(3)).m) is int
 
 
 #: Config lines that ExperimentConfig rejects before a study starts -> a fragment of the error.
@@ -784,6 +821,9 @@ def test_cli_config_file(tmp_path, capsys):
     code = main(["rate-study", "--config", str(cfg_file), "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code in (0, 1)
+    # One verdict line, the CLI's own.
+    verdicts = [line for line in out.splitlines() if line in ("[rate-study] PASS", "[rate-study] FAIL")]
+    assert verdicts == [f"[rate-study] {'PASS' if code == 0 else 'FAIL'}"]
     assert (tmp_path / "rate_study.csv").exists()
     assert (tmp_path / "rate_study.json").exists()
     payload = json.loads((tmp_path / "rate_study.json").read_text())

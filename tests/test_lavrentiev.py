@@ -16,8 +16,11 @@ from oversmooth import (
     fit_slope,
     gap_table,
     lavrentiev,
+    NoiseSpec,
     log_smooth_element,
+    make_problem,
     make_truth,
+    nonlinearity_check,
     unit_probes,
 )
 
@@ -125,6 +128,35 @@ def test_decay_validation(fam):
             decay_check(fam, [0.5], bad)
 
 
+BETAS = [1e-1, 1e-2, 1e-3]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda op: NoiseSpec(0.1, "random_sign", -1), "seed must be non-negative"),
+        (lambda op: unit_probes(op.n, -1, 0), "count must be non-negative"),
+        (lambda op: decay_check(RegularizerFamily(op), [0.5], BETAS, n_samples=-3), "n_samples must be non-negative"),
+        (
+            lambda op: nonlinearity_check(make_problem(op, make_truth("hoelder", op, p=1.0)), n_samples=-1),
+            "n_samples must be non-negative",
+        ),
+        *(
+            (
+                lambda op, b=BETAS[:k]: decay_check(RegularizerFamily(op), [0.5], b),
+                f"a decay slope fit needs at least three betas, got {k}",
+            )
+            for k in (0, 1, 2)
+        ),
+    ],
+    ids=["noise-seed", "unit-probes", "decay-samples", "nonlinearity-samples", "no-beta", "one-beta", "two-betas"],
+)
+def test_seeds_counts_and_betas_fail_where_they_enter(op64, call, message):
+    # Not numpy's error from the draw, a silent zero probes or a failed slope fit after the sampling.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(op64)
+
+
 def test_decay_bounded_at_zero_order(fam, quad):
     betas = list(np.geomspace(1e-1, 1e-4, 7))
     (rep,) = decay_check(fam, [0.0], betas, seed=0, cfg=quad)
@@ -224,10 +256,11 @@ def test_aux_forms_agree(fam, quad):
     assert (aux.u_aux - companion_form).sup_norm() <= 1e-12 * (1.0 + u_true.sup_norm())
 
 
-def test_aux_consistency_guard(fam, quad):
+def test_aux_consistency_guard(fam, quad, monkeypatch):
     u_true = make_truth("hoelder", fam.op, p=0.5, cfg=quad)
+    monkeypatch.setattr(lavrentiev, "_AUX_FORMS_RTOL", 1e-18)
     with pytest.raises(InternalConsistencyError):
-        auxiliary_element(fam, 0.02, u_true, GridFunction.zeros(256), cfg=quad, tol=1e-18)
+        auxiliary_element(fam, 0.02, u_true, GridFunction.zeros(256), cfg=quad)
 
 
 def test_aux_hoelder_decay_slope(fam, quad):
