@@ -225,6 +225,7 @@ def nonlinearity_check(
     if not 0.0 < eps < prob.c1:
         raise ValueError("eps must lie in (0, c1)")
     _integer("n_samples", n_samples, 0)
+    _integer("seed", seed, 0)
 
     op = prob.op
     rng = np.random.default_rng(seed)

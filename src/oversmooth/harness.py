@@ -169,9 +169,7 @@ class _Study:
     cfg: ExperimentConfig
     problem: ExpVolterraProblem
     fam: RegularizerFamily
-    u_true: GridFunction
     alphas: tuple[float, ...]
-    quad: QuadratureConfig
 
 
 def _draw_problem(study: _Study, i: int, j: int) -> TikhonovProblem:
@@ -193,8 +191,9 @@ def _draw_problem(study: _Study, i: int, j: int) -> TikhonovProblem:
 def _solve_group(study: _Study, tasks: Sequence[tuple[int, int]]) -> list[tuple[tuple[float, float, float], bool]]:
     """Solve the (level, draw) tasks as one lockstep block: ((sup-norm error, residual, penalty), certified) each."""
     probs = [_draw_problem(study, i, j) for i, j in tasks]
-    solved = minimize_many(probs, study.fam, study.u_true, max_iter=study.cfg.max_iter, cfg=study.quad)
-    return [(((res.u_min - study.u_true).sup_norm(), res.residual, res.penalty), res.certified) for res in solved]
+    u_true = study.problem.u_true
+    solved = minimize_many(probs, study.fam, u_true, max_iter=study.cfg.max_iter, cfg=study.cfg.quadrature())
+    return [(((res.u_min - u_true).sup_norm(), res.residual, res.penalty), res.certified) for res in solved]
 
 
 #: The thread-count setter exported by the OpenBLAS build bundled in the scipy wheel.
@@ -366,13 +365,12 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     one, so the study never runs in a worker: ``run_suite`` runs it in the
     caller, after its pooled suites.
     """
-    quad = cfg.quadrature()
     op = ScaleOperator(cfg.grid_n)
     regime_truth = {"hoelder": "hoelder", "low_order": "low_order", "none": "generic_continuous"}
-    u_true = make_truth(regime_truth[cfg.regime], op, p=cfg.p, cfg=quad)
+    u_true = make_truth(regime_truth[cfg.regime], op, p=cfg.p, cfg=cfg.quadrature())
     pc = cfg.param_choice()
     alphas = tuple(choose_alpha(pc, delta, cfg.r, cfg.a) for delta in cfg.delta_list)
-    study = _Study(cfg, make_problem(op, u_true), RegularizerFamily(op, m=cfg.m), u_true, alphas, quad)
+    study = _Study(cfg, make_problem(op, u_true), RegularizerFamily(op, m=cfg.m), alphas)
 
     tasks = [(i, j) for i in range(len(cfg.delta_list)) for j in range(cfg.n_seeds)]
     workers = _worker_count(len(tasks))
@@ -469,11 +467,10 @@ def _suite_fracpow(cfg: ExperimentConfig) -> CheckResult:
 
 def _suite_decay(cfg: ExperimentConfig) -> CheckResult:
     op = ScaleOperator(cfg.grid_n)
-    quad = cfg.quadrature()
     fam = RegularizerFamily(op, m=cfg.m)
     betas = list(np.geomspace(1e-1, 1e-4, 7))
     bound = (op.kappa_star + 1.0) ** cfg.m
-    *bounded, half = decay_check(fam, (0.0, 1.0, float(cfg.m), 0.5), betas, seed=cfg.seed, cfg=quad)
+    *bounded, half = decay_check(fam, (0.0, 1.0, float(cfg.m), 0.5), betas, seed=cfg.seed, cfg=cfg.quadrature())
     lines = []
     artifacts = {}
     ok = True
@@ -524,7 +521,7 @@ def _suite_aux_rates(cfg: ExperimentConfig) -> CheckResult:
         # Diagnostic: the same statistic restricted to the zone the grid resolves
         # (beta at or above the mesh width); below it every grid vector is
         # maximally smooth and the gaps decay faster than 1/log.
-        resolved = [(b, g) for b, g in zip(table.betas, vals) if b >= 1.0 / (cfg.grid_n - 1)]
+        resolved = [(b, g) for b, g in zip(table.betas, vals) if b >= op.h]
         if len(resolved) >= 2:
             diagnostics.append(
                 f"low-order {name} (resolved zone beta >= h): "
@@ -535,8 +532,7 @@ def _suite_aux_rates(cfg: ExperimentConfig) -> CheckResult:
 
 def _suite_nonlinearity(cfg: ExperimentConfig) -> CheckResult:
     op = ScaleOperator(cfg.grid_n)
-    quad = cfg.quadrature()
-    problem = make_problem(op, make_truth("hoelder", op, p=1.0, cfg=quad))
+    problem = make_problem(op, make_truth("hoelder", op, p=1.0, cfg=cfg.quadrature()))
     rep = nonlinearity_check(problem, rho=0.5, n_samples=1000, seed=cfg.seed)
     lines = (
         f"pointwise preparatory inequality failures: {rep.n_prep_fail}",

@@ -94,6 +94,7 @@ def unit_probes(n: int, count: int, seed: int) -> list[GridFunction]:
     normalized uniform noise.
     """
     _integer("count", count, 0)
+    _integer("seed", seed, 0)
     x = np.linspace(0.0, 1.0, n)
     probes = [
         GridFunction(np.ones(n)),
@@ -229,11 +230,13 @@ def auxiliary_element(
 ) -> AuxiliaryElement:
     """Build u_aux(beta) from the truth and the strong-norm witness of u_bar.
 
-    Requires saturation m >= 1 + a, the regime in which the element's gap
-    quantities carry the error analysis.  Both defining forms are evaluated
+    Requires 0 < a < inf and saturation m >= 1 + a, the regime in which the
+    element's gap quantities carry the error analysis.  Both defining forms are evaluated
     and must agree to ``_AUX_FORMS_RTOL`` relative; the returned element uses the form
     u_bar + G R_beta (u_true - u_bar), which makes the witness relation exact.
     """
+    if not 0.0 < a < np.inf:
+        raise ValueError(f"a must be positive and finite, got {a:g}")
     if fam.saturation < 1.0 + a:
         raise ValueError(
             f"saturation {fam.saturation} is below 1 + a = {1.0 + a}; increase m"

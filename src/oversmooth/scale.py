@@ -54,7 +54,6 @@ import numpy as np
 from .grids import GridFunction, _integer
 
 __all__ = [
-    "KAPPA_STAR",
     "GROWTH_BOUND",
     "QuadratureConfig",
     "QuadratureError",
@@ -64,9 +63,6 @@ __all__ = [
     "interpolation_check",
     "riemann_liouville",
 ]
-
-#: Positive-type constant of the running-integral operator (known, not estimated).
-KAPPA_STAR = 2.0
 
 #: Engineering bound on the growth rate omega of ||G^q|| <= C exp(omega q);
 #: on this operator ||G^q|| <= max(1, 1/Gamma(q+1)) <= 1.14, so 0.5 is safe.
@@ -292,7 +288,8 @@ class ScaleOperator:
     """The discretized running-integral generator on an n-point grid."""
 
     n: int
-    kappa_star: ClassVar[float] = KAPPA_STAR
+    #: Positive-type constant of the running-integral operator (known, not estimated).
+    kappa_star: ClassVar[float] = 2.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _integer("n", self.n))

@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .exp_volterra import ExpVolterraProblem, _exp_map
-from .grids import GridFunction
+from .grids import GridFunction, _integer
 from .lavrentiev import RegularizerFamily, auxiliary_element
 from .scale import DEFAULT_QUADRATURE, QuadratureConfig, _scipy_extension
 
@@ -51,7 +51,6 @@ __all__ = [
     "TikhonovProblem",
     "coupling_exponent",
     "objective",
-    "SmoothedObjective",
     "ParamChoice",
     "choose_alpha",
     "MinimizeResult",
@@ -482,6 +481,7 @@ def minimize_many(
     problem alone, and an uncertified one is returned with
     ``certified=False`` instead of raised.  No problems give no results.
     """
+    max_iter = _integer("max_iter", max_iter, 1)
     probs = list(probs)
     if not probs:
         return []

@@ -6,7 +6,9 @@ import json
 import math
 import os
 import re
+import shlex
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -708,6 +710,18 @@ def test_run_suite_subset():
 def test_cli_usage_error():
     assert main(["suite", "not-a-suite"]) == 2
     assert main(["rate-study", "--regime", "bogus"]) == 2
+
+
+def test_readme_examples_parse():
+    # The ``oversmooth ...`` lines of README's code blocks, less the ``a | b`` synopsis, are
+    # commands the parser takes, and each suite they name is a suite.
+    blocks = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("```")[1::2]
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("oversmooth ")]
+    examples = [shlex.split(line)[1:] for line in lines if "|" not in line]
+    assert examples
+    for argv in examples:
+        args = build_parser().parse_args(argv)
+        assert {args.command, *getattr(args, "names", ())} - {"suite"} <= set(SUITE_NAMES), argv
 
 
 @pytest.mark.parametrize(

@@ -157,6 +157,38 @@ def test_seeds_counts_and_betas_fail_where_they_enter(op64, call, message):
         call(op64)
 
 
+@pytest.mark.parametrize(
+    "seed, error, message",
+    [(-1, ValueError, "seed must be non-negative"), (0.5, TypeError, "seed must be an integer, got 0.5")],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda op, seed: unit_probes(op.n, 2, seed),
+        lambda op, seed: decay_check(RegularizerFamily(op), [0.5], BETAS, n_samples=2, seed=seed),
+        lambda op, seed: nonlinearity_check(make_problem(op, make_truth("hoelder", op, p=1.0)), seed=seed),
+    ],
+    ids=["unit-probes", "decay-check", "nonlinearity-check"],
+)
+def test_sampling_seeds_fail_where_they_enter(op64, call, seed, error, message):
+    # Not numpy's "expected non-negative integer" or SeedSequence's TypeError from the draw.
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(op64, seed)
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["auxiliary_element", "gap_table"])
+def test_auxiliary_element_rejects_bad_a(op64, entry, a):
+    # Not power's "fractional order" error after the element's m-step solves, nor a saturation
+    # shortfall against 1 + a = inf; a = 0 is outside the scale as in coupling_exponent.
+    fam, ones, zero = RegularizerFamily(op64, m=2), GridFunction.ones(64), GridFunction.zeros(64)
+    with pytest.raises(ValueError, match=f"^a must be positive and finite, got {a:g}$"):
+        if entry == "auxiliary_element":
+            auxiliary_element(fam, 0.1, ones, zero, a=a)
+        else:
+            gap_table(fam, [0.1], ones, zero, a=a)
+
+
 def test_decay_bounded_at_zero_order(fam, quad):
     betas = list(np.geomspace(1e-1, 1e-4, 7))
     (rep,) = decay_check(fam, [0.0], betas, seed=0, cfg=quad)

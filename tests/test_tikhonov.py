@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from oversmooth import (
     make_problem,
     make_truth,
     minimize,
+    minimize_many,
     objective,
 )
 from oversmooth import scale, tikhonov
@@ -298,6 +300,27 @@ def test_minimize_ignores_seed(setup):
     b = minimize(prob, fam, u_true, seed=12345)
     assert np.array_equal(a.v_min.values, b.v_min.values)
     assert a.objective == b.objective
+
+
+@pytest.mark.parametrize(
+    "max_iter, error, message",
+    [
+        (2.5, TypeError, "max_iter must be an integer, got 2.5"),
+        (0, ValueError, "max_iter must be at least 1"),
+        (-1, ValueError, "max_iter must be at least 1"),
+    ],
+)
+@pytest.mark.parametrize("entry", ["minimize", "minimize_many"])
+def test_max_iter_fails_where_it_enters(op64, quad, entry, max_iter, error, message):
+    # Not handed to scipy's maxiter as it comes, which ran and certified each of these.
+    u_true = make_truth("low_order", op64, cfg=quad)
+    prob = make_prob(make_problem(op64, u_true), 1e-2, 1e-2)
+    fam = RegularizerFamily(op64, m=2)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        if entry == "minimize":
+            minimize(prob, fam, u_true, max_iter=max_iter, cfg=quad)
+        else:
+            minimize_many([prob], fam, u_true, max_iter=max_iter, cfg=quad)
 
 
 def test_smoothed_gradient_matches_finite_differences(op64, quad):
