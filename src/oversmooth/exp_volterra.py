@@ -98,27 +98,24 @@ def make_truth(
     regime: str,
     op: ScaleOperator,
     p: float | None = None,
-    witness: GridFunction | None = None,
     lam: float = 2.0,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> GridFunction:
     """Construct a ground truth of prescribed smoothness.
 
-    regime "hoelder": G^p applied to the witness (default witness 1, so the
-    truth is x^p/Gamma(p+1) up to discretization); for p < 1 this lies outside
-    the strong-norm space, the genuine oversmoothing scenario.
-    regime "low_order": logarithmic-class element built from the witness.
+    regime "hoelder": G^p applied to the witness 1, so the truth is
+    x^p/Gamma(p+1) up to discretization; for p < 1 this lies outside the
+    strong-norm space, the genuine oversmoothing scenario.
+    regime "low_order": logarithmic-class element built from the witness 1.
     regime "generic_continuous": 1/log(e/x), continuous, vanishing at 0, with
     no constructed smoothness order; maximum value 1 at x = 1.
     """
     if regime == "hoelder":
         if p is None or not 0.0 < p <= 1.0:
             raise ValueError("hoelder regime needs an order p in (0, 1]")
-        w = witness if witness is not None else GridFunction.ones(op.n)
-        return op.power(p, w, cfg)
+        return op.power(p, GridFunction.ones(op.n), cfg)
     if regime == "low_order":
-        w = witness if witness is not None else GridFunction.ones(op.n)
-        return log_smooth_element(op, w, lam, cfg)
+        return log_smooth_element(op, GridFunction.ones(op.n), lam, cfg)
     if regime == "generic_continuous":
         x = np.linspace(0.0, 1.0, op.n)
         vals = np.zeros(op.n)
@@ -224,7 +221,7 @@ def nonlinearity_check(
         eps = prob.c1 / 2.0
     if not 0.0 < eps < prob.c1:
         raise ValueError("eps must lie in (0, c1)")
-    _integer("n_samples", n_samples, 0)
+    n_samples = _integer("n_samples", n_samples, 1)
     _integer("seed", seed, 0)
 
     op = prob.op

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence, TypeVar, get_type_hints
 import numpy as np
 
 from . import __version__, scale
-from .exp_volterra import ExpVolterraProblem, NoiseSpec, add_noise, make_problem, make_truth, nonlinearity_check
+from .exp_volterra import NoiseSpec, add_noise, make_problem, make_truth, nonlinearity_check
 from .fitting import NOISE_FLOOR, fit_slope
 from .grids import GridFunction, _integer, csv_table
 from .lavrentiev import RegularizerFamily, decay_check, gap_table
@@ -63,7 +63,7 @@ R = TypeVar("R")
 REGIME_NAMES = {"none": "none", "hoelder": "hoelder", "low-order": "low_order", "low_order": "low_order"}
 
 
-#: Most noise draws per level: ``_draw_problem`` seeds draw j of level i ``seed + _MAX_SEEDS * i + j``,
+#: Most noise draws per level: ``run_rate_study`` seeds draw j of level i ``seed + _MAX_SEEDS * i + j``,
 #: so more draws would reuse the next level's seeds.
 _MAX_SEEDS = 1000
 
@@ -160,40 +160,6 @@ class RateReport:
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class _Study:
-    """What every (level, draw) solve of one rate study shares."""
-
-    cfg: ExperimentConfig
-    problem: ExpVolterraProblem
-    fam: RegularizerFamily
-    alphas: tuple[float, ...]
-
-
-def _draw_problem(study: _Study, i: int, j: int) -> TikhonovProblem:
-    """The Tikhonov problem of noise draw j at level i."""
-    cfg = study.cfg
-    delta = cfg.delta_list[i]
-    f_delta = add_noise(study.problem.f_true, NoiseSpec(delta, cfg.noise_kind, cfg.seed + _MAX_SEEDS * i + j))
-    return TikhonovProblem(
-        forward_problem=study.problem,
-        f_delta=f_delta,
-        delta=delta,
-        u_bar_witness=GridFunction.zeros(cfg.grid_n),
-        alpha=study.alphas[i],
-        r=cfg.r,
-        a=cfg.a,
-    )
-
-
-def _solve_group(study: _Study, tasks: Sequence[tuple[int, int]]) -> list[tuple[tuple[float, float, float], bool]]:
-    """Solve the (level, draw) tasks as one lockstep block: ((sup-norm error, residual, penalty), certified) each."""
-    probs = [_draw_problem(study, i, j) for i, j in tasks]
-    u_true = study.problem.u_true
-    solved = minimize_many(probs, study.fam, u_true, max_iter=study.cfg.max_iter, cfg=study.cfg.quadrature())
-    return [(((res.u_min - u_true).sup_norm(), res.residual, res.penalty), res.certified) for res in solved]
 
 
 #: The thread-count setter exported by the OpenBLAS build bundled in the scipy wheel.
@@ -355,9 +321,10 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     any BLAS can be through OMP_NUM_THREADS=1 (with OPENBLAS_, MKL_ and
     BLIS_NUM_THREADS unset or 1).  The quota is read from the cgroup files a
     container sees as its own; a quota set on an ancestor cgroup is not seen.
-    The tasks are dealt round-robin into one group per worker, and each group
+    Every problem is built in this process, and the workers inherit them by
+    fork; they are dealt round-robin into one group per worker, and each group
     is solved as one block by ``minimize_many``, its descents in lockstep (with
-    one worker, all tasks are one block in this process).  Each solve's floats
+    one worker, all problems are one block in this process).  Each solve's floats
     are its own whatever block it is in, and results are put back in task
     order, so the report is byte-identical whatever the worker count.  An
     exception from a solve, such as a ``QuadratureError``, reaches the caller
@@ -370,13 +337,29 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     u_true = make_truth(regime_truth[cfg.regime], op, p=cfg.p, cfg=cfg.quadrature())
     pc = cfg.param_choice()
     alphas = tuple(choose_alpha(pc, delta, cfg.r, cfg.a) for delta in cfg.delta_list)
-    study = _Study(cfg, make_problem(op, u_true), RegularizerFamily(op, m=cfg.m), alphas)
+    problem, fam = make_problem(op, u_true), RegularizerFamily(op, m=cfg.m)
+    probs = [
+        TikhonovProblem(
+            forward_problem=problem,
+            f_delta=add_noise(problem.f_true, NoiseSpec(delta, cfg.noise_kind, cfg.seed + _MAX_SEEDS * i + j)),
+            delta=delta,
+            u_bar_witness=GridFunction.zeros(cfg.grid_n),
+            alpha=alpha,
+            r=cfg.r,
+            a=cfg.a,
+        )
+        for i, (delta, alpha) in enumerate(zip(cfg.delta_list, alphas))
+        for j in range(cfg.n_seeds)
+    ]
+    workers = _worker_count(len(probs))
 
-    tasks = [(i, j) for i in range(len(cfg.delta_list)) for j in range(cfg.n_seeds)]
-    workers = _worker_count(len(tasks))
-    groups = [tasks[w::workers] for w in range(workers)]
-    solved: list = [None] * len(tasks)
-    for w, group in enumerate(_pool_map(lambda group: _solve_group(study, group), groups)):
+    def solve_group(w: int) -> list[tuple[tuple[float, float, float], bool]]:
+        # Forked workers inherit probs, so a task is the group's index and only floats come back.
+        results = minimize_many(probs[w::workers], fam, u_true, max_iter=cfg.max_iter, cfg=cfg.quadrature())
+        return [(((res.u_min - u_true).sup_norm(), res.residual, res.penalty), res.certified) for res in results]
+
+    solved: list = [None] * len(probs)
+    for w, group in enumerate(_pool_map(solve_group, range(workers))):
         solved[w::workers] = group
 
     kap = coupling_exponent(cfg.r, cfg.a)

@@ -294,6 +294,8 @@ def gap_table(
     check; ``auxiliary_element`` rejects a saturation m below 1 + a.
     """
     blist = [float(b) for b in betas]
+    if not blist:
+        raise ValueError("betas must not be empty")
     if not all(0.0 < b < np.inf for b in blist):
         raise ValueError(f"betas must be positive and finite, got {blist}")
     rows = [auxiliary_element(fam, beta, u_true, u_bar_witness, a, cfg) for beta in blist]

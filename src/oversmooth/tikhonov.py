@@ -509,8 +509,7 @@ def _certify(prob: TikhonovProblem, scored: list) -> MinimizeResult:
 
     This holds by construction: the anchor's score, from a finite witness, is finite or inf, never
     NaN, so ``min`` picks no score above it.  ``certified=False``, ``UncertifiedResultError`` and a
-    study's abort on too few certified levels are reached only where tests replace ``minimize_many``
-    or ``harness._solve_group``.
+    study's abort on too few certified levels are reached only where tests replace ``minimize_many``.
     """
     bound = scored[0][0][0]
     (obj, residual, penalty), best_v = min(scored, key=lambda sv: sv[0][0])

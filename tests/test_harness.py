@@ -14,7 +14,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oversmooth import ExperimentConfig, RegularizerFamily, ScaleOperator, fit_slope, run_rate_study, run_suite
+from oversmooth import (
+    ExperimentConfig,
+    GridFunction,
+    RegularizerFamily,
+    ScaleOperator,
+    fit_slope,
+    run_rate_study,
+    run_suite,
+)
 from oversmooth.cli import _config_from_args, build_parser, main
 from oversmooth import cli, harness, scale
 from oversmooth.harness import SUITE_NAMES, CheckResult, parse_config_file
@@ -424,20 +432,33 @@ def test_rate_study_pool_matches_serial(monkeypatch):
         assert pooled.to_json() == serial.to_json()
 
 
-def _slow_first_group(study, tasks):
+def _solved(u_true, draws):
+    """minimize_many's results for (residual, penalty, certified) draws; u_min is u_true, so each error is 0."""
+    return [SimpleNamespace(u_min=u_true, residual=res, penalty=pen, certified=cert) for res, pen, cert in draws]
+
+
+def _seed_as_noise(f_true, spec):
+    # f_delta - f_true is the draw's seed, so a fake solver can tell its (level, draw) task.
+    return GridFunction(f_true.values + spec.seed)
+
+
+def _slow_first_group(probs, fam, u_true, **kwargs):
     # Groups that start with an earlier task sleep longer, so workers finish them
-    # out of submission order; each draw encodes its task, and ties in error keep
-    # the first draw of a level.
+    # out of submission order; each draw encodes its task as (residual, penalty),
+    # and ties in error keep the first draw of a level.
+    noise = (prob.f_delta.values[0] - prob.forward_problem.f_true.values[0] for prob in probs)
+    tasks = [divmod(round(seed), harness._MAX_SEEDS) for seed in noise]
     first_i, first_j = tasks[0]
-    time.sleep(0.02 * (len(study.alphas) * study.cfg.n_seeds - (first_i * study.cfg.n_seeds + first_j)))
-    return [((float(i + 1), float(j), 0.0), True) for i, j in tasks]
+    time.sleep(0.02 * (4 * 2 - (first_i * 2 + first_j)))  # 4 levels of 2 draws
+    return _solved(u_true, [(float(i + 1), float(j), True) for i, j in tasks])
 
 
 def test_rate_study_pool_keeps_submission_order(monkeypatch):
     force_workers(monkeypatch, 4)
-    monkeypatch.setattr(harness, "_solve_group", _slow_first_group)
+    monkeypatch.setattr(harness, "add_noise", _seed_as_noise)
+    monkeypatch.setattr(harness, "minimize_many", _slow_first_group)
     report = run_rate_study(fast_config(n_seeds=2))
-    assert [(r.error_sup, r.residual) for r in report.rows] == [(1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)]
+    assert [(r.residual, r.penalty) for r in report.rows] == [(1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)]
 
 
 def _failing_minimize(*args, **kwargs):
@@ -458,16 +479,16 @@ def test_rate_study_worker_error_reaches_caller(monkeypatch, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: quadrature failed in process ")
 
 
-def _mostly_uncertified_group(study, tasks):
+def _mostly_uncertified_group(probs, fam, u_true, **kwargs):
     # Only the first level's draws certify.
-    return [((0.1, 0.0, 0.0), i == 0) for i, _ in tasks]
+    return _solved(u_true, [(0.0, 0.0, prob.delta == fast_config().delta_list[0]) for prob in probs])
 
 
 def test_rate_study_mostly_uncertified_fails(monkeypatch, tmp_path, capsys):
     # One of four levels certified is under half: the study raises, and the CLI
     # exits 3 with one error line.
     force_workers(monkeypatch, 1)
-    monkeypatch.setattr(harness, "_solve_group", _mostly_uncertified_group)
+    monkeypatch.setattr(harness, "minimize_many", _mostly_uncertified_group)
     with pytest.raises(RuntimeError, match="^rate study failed: only 1 of 4 solves certified$"):
         run_rate_study(fast_config())
 
@@ -569,8 +590,8 @@ def _bundled_blas_threads() -> int:
     return getter()
 
 
-def _blas_threads_group(study, tasks):
-    return [((float(_bundled_blas_threads()), float(os.getpid()), 0.0), True) for _ in tasks]
+def _blas_threads_group(probs, fam, u_true, **kwargs):
+    return _solved(u_true, [(float(_bundled_blas_threads()), float(os.getpid()), True) for _ in probs])
 
 
 def _blas_threads_suite(cfg):
@@ -582,10 +603,10 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     # Each worker, of a study or of the suites, holds scipy's OpenBLAS to one thread; the caller's is untouched.
     before = _bundled_blas_threads()
     force_workers(monkeypatch, 2)
-    monkeypatch.setattr(harness, "_solve_group", _blas_threads_group)
+    monkeypatch.setattr(harness, "minimize_many", _blas_threads_group)
     report = run_rate_study(fast_config())
-    assert [row.error_sup for row in report.rows] == [1.0] * 4
-    assert os.getpid() not in {row.residual for row in report.rows}
+    assert [row.residual for row in report.rows] == [1.0] * 4
+    assert os.getpid() not in {row.penalty for row in report.rows}
 
     monkeypatch.setattr(harness, "SUITE_POOL_MIN_N", 0)
     for name in OPERATOR_SUITES:
@@ -661,7 +682,7 @@ def test_run_suite_runs_rate_study_in_caller(monkeypatch):
     monkeypatch.setattr(harness, "_pool_map", caller_pool_map)
     results = run_suite(["decay-check", "rate-study"], fast_config())
     assert [r.name for r in results] == ["decay-check", "rate-study"]
-    assert pools == [["decay-check"], [[(0, 0), (2, 0)], [(1, 0), (3, 0)]]]  # the study's tasks in two groups
+    assert pools == [["decay-check"], [0, 1]]  # the study's two groups, each task a group's index
 
 
 def test_rate_study_beta_column(study_hoelder_p1):

@@ -226,16 +226,16 @@ class CountingLoader(scale.ExtensionFileLoader):
 
 scale.ExtensionFileLoader = CountingLoader
 reports = tempfile.TemporaryDirectory()
-solve_group = harness._solve_group
+minimize_many = harness.minimize_many
 
-def reporting(study, tasks):
+def reporting(*args, **kwargs):
     loaded_before = tikhonov._setulb.cache_info().currsize
-    solved = solve_group(study, tasks)
+    solved = minimize_many(*args, **kwargs)
     Path(reports.name, str(os.getpid())).write_text(json.dumps([loaded_before, loads, "scipy.optimize" in sys.modules]))
     return solved
 
 harness._worker_count = lambda n_tasks: min(2, n_tasks)
-harness._solve_group = reporting
+harness.minimize_many = reporting
 cfg = ov.ExperimentConfig(grid_n=64, delta_list=tuple(np.geomspace(1e-1, 1e-3, 4)), n_seeds=1)
 rows = ov.run_rate_study(cfg).rows
 workers = {int(f.name): json.loads(f.read_text()) for f in Path(reports.name).iterdir()}

@@ -137,9 +137,12 @@ BETAS = [1e-1, 1e-2, 1e-3]
         (lambda op: NoiseSpec(0.1, "random_sign", -1), "seed must be non-negative"),
         (lambda op: unit_probes(op.n, -1, 0), "count must be non-negative"),
         (lambda op: decay_check(RegularizerFamily(op), [0.5], BETAS, n_samples=-3), "n_samples must be non-negative"),
-        (
-            lambda op: nonlinearity_check(make_problem(op, make_truth("hoelder", op, p=1.0)), n_samples=-1),
-            "n_samples must be non-negative",
+        *(
+            (
+                lambda op, k=k: nonlinearity_check(make_problem(op, make_truth("hoelder", op, p=1.0)), n_samples=k),
+                "n_samples must be at least 1",
+            )
+            for k in (-1, 0)
         ),
         *(
             (
@@ -148,11 +151,28 @@ BETAS = [1e-1, 1e-2, 1e-3]
             )
             for k in (0, 1, 2)
         ),
+        (
+            lambda op: gap_table(
+                RegularizerFamily(op), [], GridFunction.ones(op.n), GridFunction.zeros(op.n), a=math.nan
+            ),
+            "betas must not be empty",
+        ),
     ],
-    ids=["noise-seed", "unit-probes", "decay-samples", "nonlinearity-samples", "no-beta", "one-beta", "two-betas"],
+    ids=[
+        "noise-seed",
+        "unit-probes",
+        "decay-samples",
+        "nonlinearity-samples",
+        "nonlinearity-no-samples",
+        "no-beta",
+        "one-beta",
+        "two-betas",
+        "gap-table-no-beta",
+    ],
 )
 def test_seeds_counts_and_betas_fail_where_they_enter(op64, call, message):
-    # Not numpy's error from the draw, a silent zero probes or a failed slope fit after the sampling.
+    # Not numpy's error from the draw, a silent zero probes or samples, a failed slope fit after the
+    # sampling, or an empty gap table in which no a was checked.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(op64)
 

@@ -1,10 +1,16 @@
-"""The test configuration itself: a failing test is reported, and the tests after it still run."""
+"""The repository's tooling: the test configuration reports a failing test and runs the tests after
+it, and no source module keeps an import it never reads."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+MODULES = sorted(path for path in (ROOT / "src" / "oversmooth").glob("*.py") if path.name != "__init__.py")
 
 FAILING_PROPERTY = """
 from hypothesis import given, strategies as st
@@ -34,3 +40,27 @@ def test_failing_hypothesis_test_is_reported_under_the_warning_filters(tmp_path)
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert proc.returncode == 1, proc.stdout
     assert "1 failed, 1 passed" in proc.stdout.splitlines()[-1]
+
+
+def _unread_imports(source: str) -> list[str]:
+    """The names a module-level import binds (``__future__`` aside) that the module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_unread_imports_are_found():
+    source = "from __future__ import annotations\nimport os.path\nimport numpy as np\nnp.ones(1)\n"
+    assert _unread_imports(source) == ["os"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda path: path.stem)
+def test_every_import_is_read(module):
+    # A deletion that leaves an import behind fails here; __init__ imports only to re-export.
+    assert _unread_imports(module.read_text()) == []
