@@ -83,8 +83,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # An uncertified rate study or a QuadratureError (a RuntimeError subclass).
+    except (RuntimeError, ImportError) as exc:
+        # An uncertified study, a QuadratureError (a RuntimeError) or an unusable scipy.
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:  # numpy's names the array it could not allocate

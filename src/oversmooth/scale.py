@@ -6,13 +6,14 @@ shifted systems (G + beta I) v = f solve in O(n) by forward substitution;
 differenced, that substitution is one unit lower-bidiagonal system, which
 LAPACK's banded triangular solve (``dtbtrs``) takes for a whole block at once.
 That routine is called from scipy's ``linalg._flapack`` extension
-(``_flapack``), loaded alone on the first solve, so the operator calculus
-imports no scipy Python package; only where that file cannot be loaded alone
-is the extension imported, and ``scipy.linalg`` with it.  The OpenBLAS that
-file links is the one whose thread setter the harness's worker pool finds
-through it.  On
-the grid the operator is of positive type with constant kappa_* = 2, i.e.
-||(G + beta I)^-1|| <= 2/beta in the sup operator norm for every beta > 0.
+(``_flapack``), loaded on the first solve by ``_scipy_extension``, the
+package's one way into scipy's extensions (``tikhonov`` takes L-BFGS-B's
+``setulb`` through it too): it loads the file alone, so no scipy Python
+package is imported, and imports ``scipy.<module>`` only where the file
+cannot be loaded alone.  The OpenBLAS that file links is the one whose thread
+setter the harness's worker pool finds through it.  On the grid the operator
+is of positive type with constant kappa_* = 2, i.e. ||(G + beta I)^-1|| <=
+2/beta in the sup operator norm for every beta > 0.
 
 Fractional powers G^p for 0 < p < 1 are evaluated with the Balakrishnan
 integral
@@ -222,47 +223,45 @@ def _build_spectrum(n: int, q: float, cfg: QuadratureConfig) -> np.ndarray:
 # -- scipy's extension modules, and LAPACK's banded triangular solve -------------
 
 
-def _scipy_extension(module: str) -> ModuleType | None:
-    """scipy's extension module ``scipy.<module>``, such as ``"linalg._flapack"``, loaded alone, or None.
+def _scipy_extension(module: str) -> ModuleType:
+    """scipy's extension module ``scipy.<module>``, such as ``"linalg._flapack"``, loaded alone where it can be.
 
     The file is found through ``find_spec("scipy")``, which imports nothing,
     and loaded by an ``ExtensionFileLoader``, so no ``__init__`` of a scipy
     package runs.  The module is kept out of ``sys.modules``, where the load
     puts it, so a later import of its package loads its own as usual.  A
-    missing file or a failed load gives None.
+    missing file or a failed load imports ``scipy.<module>`` instead, with its
+    packages; where that fails too, as without scipy, its ImportError is raised.
     """
+    name = f"scipy.{module}"
     spec = importlib.util.find_spec("scipy")
     pkgs = (spec and spec.submodule_search_locations) or ()
     *parents, stem = module.split(".")
     files = (Path(pkg, *parents, stem + suffix) for pkg in pkgs for suffix in EXTENSION_SUFFIXES)
     path = next((f for f in files if f.is_file()), None)
-    if path is None:
-        return None
-    name = f"scipy.{module}"
-    loaded = sys.modules.get(name)
-    loader = ExtensionFileLoader(name, str(path))
-    try:
-        extension = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path, loader=loader))
-        loader.exec_module(extension)
-    except ImportError:
-        return None
-    finally:
-        if loaded is None:
-            sys.modules.pop(name, None)
-    return extension
+    if path is not None:
+        loaded = sys.modules.get(name)
+        loader = ExtensionFileLoader(name, str(path))
+        try:
+            extension = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path, loader=loader))
+            loader.exec_module(extension)
+            return extension
+        except ImportError:
+            pass
+        finally:
+            if loaded is None:
+                sys.modules.pop(name, None)
+    return importlib.import_module(name)
 
 
 @functools.cache
 def _flapack() -> ModuleType:
-    """scipy's ``linalg._flapack`` extension, loaded alone (``_scipy_extension``), or imported where it cannot be.
+    """scipy's ``linalg._flapack`` extension (``_scipy_extension``).
 
     Its ``dtbtrs`` runs every shifted solve, and the pool's one OpenBLAS thread-count
     setter (``harness._bundled_blas_setter``) is looked up through its file.
     """
-    flapack = _scipy_extension("linalg._flapack")
-    if flapack is None:
-        from scipy.linalg import _flapack as flapack
-    return flapack
+    return _scipy_extension("linalg._flapack")
 
 
 def _banded_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -11,17 +11,18 @@ solved by L-BFGS, and the true nonsmooth T is evaluated at every candidate.
 The forward map F(u_bar + G v) = exp(G u_bar + G G v) is the model's own,
 ``exp_volterra._exp_map``, and T is computed in one place, ``_evaluate``,
 shared by the solver, its certificate and ``objective``.
-No scipy Python package is imported: each descent runs L-BFGS-B's routine
-``setulb`` from scipy's ``_lbfgsb`` extension, loaded alone on the first
-solve (``_setulb``), in the short loop ``_lbfgsb``, which takes the same
-iterates as scipy's "L-BFGS-B" driver without that driver's Python wrapper;
-where the extension cannot be loaded or ``setulb`` has another signature,
-descents fall back to the driver.  Below ``minimize_many`` the solver's one unit is a
-block of problems on one grid, and ``minimize`` is a block of one row: the rows
-descend in lockstep, each with its own ``setulb`` state and exactly the floats
-it has alone, and each step evaluates the surrogate once for every row that
-asks.  Only ``SmoothedObjective.value_and_grad`` tells one row from many: one
-row takes scalar steps on 1-D arrays.
+Every descent runs L-BFGS-B's routine ``setulb`` from scipy's ``_lbfgsb``
+extension in the short loop ``_lbfgsb``, which takes the same iterates as
+scipy's "L-BFGS-B" driver without that driver's Python wrapper.  The first
+solve loads the extension (``_setulb``) through ``scale._scipy_extension``,
+alone where it can, so no scipy Python package is imported; a ``setulb``
+with another signature than scipy 1.17's raises ImportError before any work.
+Below ``minimize_many`` the solver's one unit is a block of problems on one
+grid, and ``minimize`` is a block of one row: the rows descend in lockstep,
+each with its own ``setulb`` state and exactly the floats it has alone, and
+each step evaluates the surrogate once for every row that asks.  Only
+``SmoothedObjective.value_and_grad`` tells one row from many: one row takes
+scalar steps on 1-D arrays.
 
 Every returned minimizer carries a certificate: its true objective does not
 exceed T at the auxiliary element u_aux(beta) with beta = alpha^kappa,
@@ -64,24 +65,24 @@ ANNEAL_TEMPS = (1e-1, 1e-2, 1e-3)
 
 #: A function with scipy's ``minimize`` calling convention that receives every
 #: descent; unbound (None), descents call ``_lbfgsb`` directly.  ``_load_lbfgs``
-#: binds scipy's ``minimize`` here only where it is needed.
+#: binds scipy's ``minimize`` here only where ``scipy.optimize`` is imported already.
 _lbfgs = None
 
 
 def _load_lbfgs() -> None:
-    """Load ``setulb`` (``_setulb``), and bind scipy's ``minimize`` to an unbound ``_lbfgs`` where it is needed.
+    """Load ``setulb`` (``_setulb``); bind scipy's ``minimize`` to an unbound ``_lbfgs`` if scipy.optimize is imported.
 
-    ``minimize`` is bound only while ``_lbfgs`` is unbound, and only when
-    ``_setulb`` gives None or ``scipy.optimize`` is imported already: the
-    latter for a tracer that imports it and then hooks ``_lbfgs`` by identity
-    with its ``minimize``, which passes the callable method ``_lbfgsb``
-    straight through, so both routes take the same iterates bit for bit.
-    Otherwise no process imports ``scipy.optimize``: importing it costs about
-    0.3 s and 40 MB.  A function put on ``_lbfgs`` before the first solve, such
-    as a tracing wrapper, stays in place and receives every descent.
+    That binding is for a tracer that imports ``scipy.optimize`` and then hooks
+    ``_lbfgs`` by identity with its ``minimize``, which passes the callable
+    method ``_lbfgsb`` straight through, so both routes take the same iterates
+    bit for bit.  Otherwise no process whose ``setulb`` loads alone imports
+    ``scipy.optimize``: importing it costs about 0.3 s and 40 MB.  A function
+    put on ``_lbfgs`` before the first solve, such as a tracing wrapper, stays
+    in place and receives every descent.
     """
     global _lbfgs
-    if (_setulb() is None or "scipy.optimize" in sys.modules) and _lbfgs is None:
+    _setulb()
+    if "scipy.optimize" in sys.modules and _lbfgs is None:
         from scipy.optimize import minimize
 
         _lbfgs = minimize
@@ -96,16 +97,17 @@ _MAXFUN = 15000
 
 @cache
 def _setulb():
-    """``setulb`` from scipy's ``_lbfgsb`` extension if its signature is ``_SETULB_SIGNATURE``, else None.
+    """``setulb`` from scipy's ``_lbfgsb`` extension (``scale._scipy_extension``), of signature ``_SETULB_SIGNATURE``.
 
-    The extension is loaded alone by ``scale._scipy_extension``, so
-    ``scipy/optimize/__init__`` never runs, and kept out of ``sys.modules``.
-    A missing file, a failed load, older scipy (the Fortran wrapper) and any
-    later change of the routine's arguments give None, and descents then run
-    scipy's own "L-BFGS-B" driver.
+    Older scipy (the Fortran wrapper) and any later change of the routine's
+    arguments raise ImportError, naming that signature and the scipy version.
     """
     setulb = getattr(_scipy_extension("optimize._lbfgsb"), "setulb", None)
-    return setulb if (setulb.__doc__ or "").split("\n", 1)[0] == _SETULB_SIGNATURE else None
+    if (setulb.__doc__ or "").split("\n", 1)[0] != _SETULB_SIGNATURE:
+        from importlib.metadata import version
+
+        raise ImportError(f"the solver needs scipy>=1.17's {_SETULB_SIGNATURE}; scipy {version('scipy')} has another")
+    return setulb
 
 
 class _Descent(NamedTuple):
@@ -448,20 +450,14 @@ def _descend(
     All problems descend in one ``_lbfgsb`` call, in lockstep as the rows of
     one block; a lone problem is a block of one, whose evaluations take scalar
     steps.  The call goes through ``_lbfgs``, with ``method=_lbfgsb``, when a
-    function is bound there.  Where ``_setulb`` gives None, each problem runs
-    scipy's ``jac=True, method="L-BFGS-B"`` through ``_lbfgs`` in turn, with
-    the same iterates, as a block of one behind a 1-D adapter.  Every descent
-    runs under ``np.errstate(over="ignore")``: a row whose forward map is
-    finite but whose r-th power overflows has the surrogate inf, as
-    documented, not a warning.
+    function is bound there.  Every descent runs under
+    ``np.errstate(over="ignore")``: a row whose forward map is finite but
+    whose r-th power overflows has the surrogate inf, as documented, not a
+    warning.
     """
-    surrogate = SmoothedObjective(probs, temps)
-    options = {"maxiter": max_iter, "ftol": 1e-16, "gtol": 1e-12, "maxcor": 20}
+    fun, x0 = SmoothedObjective(probs, temps).value_and_grad, np.concatenate(starts)
+    options = {"maxiter": max_iter, "ftol": 1e-16, "gtol": 1e-12, "maxcor": 20, "rows": len(probs)}
     with np.errstate(over="ignore"):
-        if not _setulb():
-            funs = [lambda x, i=(i,): [y[0] for y in surrogate.value_and_grad(x[np.newaxis], i)] for i in range(len(probs))]
-            return [_lbfgs(fun, v, jac=True, method="L-BFGS-B", options=options).x for fun, v in zip(funs, starts)]
-        fun, x0, options["rows"] = surrogate.value_and_grad, np.concatenate(starts), len(probs)
         descent = _lbfgsb(fun, x0, **options) if _lbfgs is None else _lbfgs(fun, x0, method=_lbfgsb, options=options)
     return list(descent.x)
 
@@ -480,6 +476,7 @@ def minimize_many(
     one.  Each result equals, bit for bit, what ``minimize`` gives for its
     problem alone, and an uncertified one is returned with
     ``certified=False`` instead of raised.  No problems give no results.
+    A scipy without ``setulb`` raises ImportError before any anchor is built.
     """
     max_iter = _integer("max_iter", max_iter, 1)
     probs = list(probs)

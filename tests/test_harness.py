@@ -7,6 +7,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,7 +26,7 @@ from oversmooth import (
     run_suite,
 )
 from oversmooth.cli import _config_from_args, build_parser, main
-from oversmooth import cli, harness, scale
+from oversmooth import cli, harness, scale, tikhonov
 from oversmooth.harness import SUITE_NAMES, CheckResult, parse_config_file
 from oversmooth.scale import QuadratureError
 
@@ -477,6 +479,33 @@ def test_rate_study_worker_error_reaches_caller(monkeypatch, tmp_path, capsys):
     assert main(["rate-study", "--config", str(cfg_file)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: quadrature failed in process ")
+
+
+def test_setulb_of_another_signature_fails_in_the_workers(monkeypatch, tmp_path, capsys):
+    # Each worker's first solve raises; the ImportError reaches the caller with its type, and the
+    # CLI exits 3 with one error line.  The caller never loads setulb: it solves nothing.
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(tikhonov, "_SETULB_SIGNATURE", "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,csave,lsave,isave,dsave)")
+    tikhonov._setulb.cache_clear()  # the forked workers load it again; a failed load is not cached
+    with pytest.raises(ImportError, match="^the solver needs scipy>=1.17's setulb") as info:
+        run_rate_study(fast_config())
+    assert type(info.value) is ImportError and tikhonov._setulb.cache_info().misses == 0
+
+    cfg_file = tmp_path / "fast.cfg"
+    cfg_file.write_text("grid_n = 64\ndelta_list = 1e-1, 1e-2\nn_seeds = 1\nmax_iter = 60\n")
+    assert main(["rate-study", "--config", str(cfg_file)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the solver needs scipy>=1.17's setulb")
+
+
+def test_cli_without_scipy_exits_3():
+    # With scipy hidden, the first shifted solve cannot load _flapack: one error line and no traceback.
+    code = "import sys\nsys.modules['scipy'] = None\nfrom oversmooth.cli import main\nsys.exit(main(['decay-check', '--grid-n', '64']))\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: No module named 'scipy"), proc.stderr
 
 
 def _mostly_uncertified_group(probs, fam, u_true, **kwargs):

@@ -1,4 +1,5 @@
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -197,11 +198,10 @@ def test_solve_matches_forward_substitution(n, beta):
 @pytest.fixture(params=["bundled", "fallback"])
 def binding(request, monkeypatch):
     """The shifted solve bound to scipy's ``_flapack`` extension loaded alone, then imported with scipy.linalg."""
-    if request.param == "bundled" and scale._scipy_extension("linalg._flapack") is None:
-        pytest.skip("scipy's _flapack cannot be loaded alone")
-    if request.param == "fallback":
-        monkeypatch.setattr(scale, "_scipy_extension", lambda module: None)
     scale._flapack.cache_clear()
+    if request.param == "fallback":  # no extension file is found, so the load alone fails
+        monkeypatch.setattr(scale, "EXTENSION_SUFFIXES", [".no-such-extension.so"])
+        assert scale._flapack() is sys.modules["scipy.linalg._flapack"]
     yield request.param
     scale._flapack.cache_clear()
 

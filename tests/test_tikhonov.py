@@ -422,7 +422,6 @@ def one_row(prob, temps):
     return lambda x: [out[0] for out in block.value_and_grad(x[np.newaxis])]
 
 
-@pytest.mark.skipif(tikhonov._setulb() is None, reason="scipy's setulb has another signature")
 @pytest.mark.parametrize("r", [1.0, 2.0])
 @pytest.mark.parametrize("case", ["capped", "converged", "overflow", "re-request"])
 def test_lbfgsb_loop_matches_scipy_driver(op64, monkeypatch, case, r):
@@ -465,7 +464,6 @@ def test_lbfgsb_loop_matches_scipy_driver(op64, monkeypatch, case, r):
         assert sum(requests) > got.nfev
 
 
-@pytest.mark.skipif(tikhonov._setulb() is None, reason="scipy's setulb has another signature")
 @pytest.mark.parametrize("maxfun", [3, 5, 8])
 def test_lbfgsb_evaluation_cap_matches_scipy_driver(op64, monkeypatch, maxfun):
     # With the evaluation cap lowered, the loop stops where scipy's driver stops with that maxfun.
@@ -482,7 +480,6 @@ def test_lbfgsb_evaluation_cap_matches_scipy_driver(op64, monkeypatch, maxfun):
     assert got.status == 1 and got.nit < maxiter and got.nfev > maxfun
 
 
-@pytest.mark.skipif(tikhonov._setulb() is None, reason="scipy's setulb has another signature")
 @pytest.mark.parametrize("r", [1.0, 2.0])
 def test_lockstep_rows_match_their_own_descents(op64, r):
     # Three rows descend as one block under one cap: one converges before it,
@@ -605,12 +602,8 @@ def test_minimize_many_of_no_problems_is_empty(op64):
     assert tikhonov.minimize_many([], RegularizerFamily(op64, m=2), GridFunction.zeros(64)) == []
 
 
-@pytest.mark.parametrize("driver", ["loop", "scipy"])
-def test_minimize_many_matches_one_by_one(op64, quad, monkeypatch, driver):
-    # Three problems solved as one block give each problem's own minimize result,
-    # bit for bit, also where setulb has another signature and rows descend in turn.
-    if driver == "scipy":
-        monkeypatch.setattr(tikhonov, "_setulb", lambda: None)
+def test_minimize_many_matches_one_by_one(op64, quad):
+    # Three problems solved as one block give each problem's own minimize result, bit for bit.
     u_true = make_truth("hoelder", op64, p=0.5, cfg=quad)
     problem, fam = make_problem(op64, u_true), RegularizerFamily(op64, m=2)
     probs = [make_prob(problem, delta, delta**1.5, seed=i) for i, delta in enumerate((1e-1, 1e-2, 1e-3))]
@@ -626,28 +619,6 @@ def test_minimize_many_matches_one_by_one(op64, quad, monkeypatch, driver):
             assert getattr(res, field) == getattr(want, field)
 
 
-def test_minimize_falls_back_to_scipy_driver(setup, monkeypatch):
-    # Where setulb has another signature, descents run scipy's "L-BFGS-B" with the same result.
-    problem, fam, u_true = setup
-    prob = make_prob(problem, 1e-2, 1e-2, seed=9)
-    want = minimize(prob, fam, u_true, max_iter=60)
-    methods = []
-    lbfgs = tikhonov._lbfgs
-
-    def recording(*args, **kwargs):
-        methods.append(kwargs["method"])
-        return lbfgs(*args, **kwargs)
-
-    monkeypatch.setattr(tikhonov, "_setulb", lambda: None)
-    monkeypatch.setattr(tikhonov, "_lbfgs", recording)
-    got = minimize(prob, fam, u_true, max_iter=60)
-    assert methods == ["L-BFGS-B"] * len(ANNEAL_TEMPS)
-    for field in ("u_min", "v_min"):
-        assert getattr(got, field).values.tobytes() == getattr(want, field).values.tobytes()
-    for field in ("objective", "residual", "penalty", "certificate_bound", "certified"):
-        assert getattr(got, field) == getattr(want, field)
-
-
 @pytest.fixture
 def reload_setulb():
     """Clears ``_setulb``'s cache after a test, so the next call loads the extension again without its patches."""
@@ -655,35 +626,49 @@ def reload_setulb():
     tikhonov._setulb.cache_clear()
 
 
-@pytest.mark.parametrize("broken", ["missing extension file", "unloadable file", "other signature"])
-def test_broken_setulb_falls_back_to_scipy_driver(setup, monkeypatch, reload_setulb, broken):
-    # A missing _lbfgsb extension, a file that does not load as one (scipy's
-    # _lbfgsb_py.py) and a setulb with another signature each leave no routine
-    # to loop around: descents run scipy's "L-BFGS-B", with the same result.
+@pytest.mark.parametrize("broken", ["missing extension file", "unloadable file"])
+def test_setulb_that_cannot_load_alone_is_imported(setup, monkeypatch, reload_setulb, broken):
+    # A missing _lbfgsb extension file and a file that does not load as one
+    # (scipy's _lbfgsb_py.py) leave the import of scipy.optimize._lbfgsb: its
+    # setulb runs every descent in the loop, with the same result.
     problem, fam, u_true = setup
     prob = make_prob(problem, 1e-2, 1e-2, seed=9)
     want = minimize(prob, fam, u_true, max_iter=60)
-    methods = []
+    rows, loop = [], tikhonov._lbfgsb
 
     def recording(*args, **kwargs):
-        methods.append(kwargs["method"])
-        return scipy.optimize.minimize(*args, **kwargs)
+        descent = loop(*args, **kwargs)
+        rows.append(len(descent.x))
+        return descent
 
-    if broken == "missing extension file":
-        monkeypatch.setattr(scale, "EXTENSION_SUFFIXES", [".no-such-extension.so"])
-    elif broken == "unloadable file":
-        monkeypatch.setattr(scale, "EXTENSION_SUFFIXES", ["_py.py"])
-    else:
-        monkeypatch.setattr(tikhonov, "_SETULB_SIGNATURE", "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,csave,lsave,isave,dsave)")
+    suffix = ".no-such-extension.so" if broken == "missing extension file" else "_py.py"
+    monkeypatch.setattr(scale, "EXTENSION_SUFFIXES", [suffix])
     tikhonov._setulb.cache_clear()
-    assert tikhonov._setulb() is None
-    monkeypatch.setattr(tikhonov, "_lbfgs", recording)
+    assert tikhonov._setulb() is scipy.optimize._lbfgsb.setulb
+    monkeypatch.setattr(tikhonov, "_lbfgsb", recording)
     got = minimize(prob, fam, u_true, max_iter=60)
-    assert methods == ["L-BFGS-B"] * len(ANNEAL_TEMPS)
+    assert rows == [1] * len(ANNEAL_TEMPS)
     for field in ("u_min", "v_min"):
         assert getattr(got, field).values.tobytes() == getattr(want, field).values.tobytes()
     for field in ("objective", "residual", "penalty", "certificate_bound", "certified"):
         assert getattr(got, field) == getattr(want, field)
+
+
+def test_setulb_with_another_signature_raises(setup, monkeypatch):
+    # A setulb of another signature, such as an older scipy's Fortran wrapper,
+    # fails the solve before its anchor is built, naming both signature and scipy.
+    problem, fam, u_true = setup
+    other = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,csave,lsave,isave,dsave)"
+
+    def no_anchor(*args):
+        raise AssertionError("an anchor was built")
+
+    monkeypatch.setattr(tikhonov, "_SETULB_SIGNATURE", other)
+    monkeypatch.setattr(tikhonov, "auxiliary_element", no_anchor)
+    tikhonov._setulb.cache_clear()
+    wanted = re.escape(f"the solver needs scipy>=1.17's {other}; scipy {scipy.__version__} has another")
+    with pytest.raises(ImportError, match=f"^{wanted}$"):
+        minimize(make_prob(problem, 1e-2, 1e-2, seed=9), fam, u_true, max_iter=60)
 
 
 def test_minimize_raises_uncertified_result(setup, monkeypatch):
