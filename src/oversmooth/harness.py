@@ -34,7 +34,7 @@ from .exp_volterra import NoiseSpec, add_noise, make_problem, make_truth, nonlin
 from .fitting import NOISE_FLOOR, fit_slope
 from .grids import GridFunction, _integer, csv_table
 from .lavrentiev import RegularizerFamily, decay_check, gap_table
-from .scale import QuadratureConfig, ScaleOperator, riemann_liouville
+from .scale import DEFAULT_QUADRATURE, QuadratureConfig, ScaleOperator, riemann_liouville
 from .tikhonov import (
     ParamChoice,
     TikhonovProblem,
@@ -67,6 +67,12 @@ REGIME_NAMES = {"none": "none", "hoelder": "hoelder", "low-order": "low_order", 
 #: so more draws would reuse the next level's seeds.
 _MAX_SEEDS = 1000
 
+#: The rate study's gates, fixed in advance: a Hoelder study passes when its fitted slope is within
+#: SLOPE_TOLERANCE of p/(p+a), a low-order one when max/min of error * log(1/delta) is at most
+#: BOUNDED_RATIO_LIMIT (``aux-rates`` holds its gap tables to the same limit).
+SLOPE_TOLERANCE = 0.12
+BOUNDED_RATIO_LIMIT = 5.0
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -83,23 +89,14 @@ class ExperimentConfig:
     seed: int = 0
     n_seeds: int = 5
     noise_kind: str = "random_sign"
-    tail_tol: float = 1e-6
-    quad_step: float = 0.05
-    slope_tolerance: float = 0.12
-    bounded_ratio_limit: float = 5.0
     max_iter: int = 300
 
     def __post_init__(self) -> None:
         for name, least in (("grid_n", 64), ("m", None), ("seed", 0), ("n_seeds", 1), ("max_iter", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        for name in ("p", "r", "a", "c_alpha", "slope_tolerance", "bounded_ratio_limit"):
+        for name in ("p", "r", "a", "c_alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.slope_tolerance < 0.0:
-            raise ValueError("slope_tolerance must be non-negative")
-        if self.bounded_ratio_limit < 1.0:
-            # The ratio is max/min, at least 1, so a lower limit fails every bounded-ratio check.
-            raise ValueError("bounded_ratio_limit must be at least 1")
         if self.n_seeds > _MAX_SEEDS:
             raise ValueError(f"n_seeds must be at most {_MAX_SEEDS}")
         if self.regime not in REGIME_NAMES:
@@ -118,13 +115,13 @@ class ExperimentConfig:
             # The low-order statistic error * log(1/delta) needs log(1/delta) > 0.
             raise ValueError("low-order noise levels must be below 1")
         object.__setattr__(self, "delta_list", deltas)
-        # Build the quadrature, alpha rule and noise spec of a study: bad fields fail here, not mid-run.
-        self.quadrature()
+        # Build the alpha rule and noise spec of a study: bad fields fail here, not mid-run.
         choose_alpha(self.param_choice(), deltas[0], self.r, self.a)
         NoiseSpec(deltas[0], self.noise_kind)
 
     def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(step=self.quad_step, tail_tol=self.tail_tol)
+        """The quadrature every study and suite runs at: ``scale.DEFAULT_QUADRATURE``, not a setting."""
+        return DEFAULT_QUADRATURE
 
     def param_choice(self) -> ParamChoice:
         return ParamChoice(self.regime, p=self.p, C=self.c_alpha)
@@ -334,7 +331,7 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     """
     op = ScaleOperator(cfg.grid_n)
     regime_truth = {"hoelder": "hoelder", "low_order": "low_order", "none": "generic_continuous"}
-    u_true = make_truth(regime_truth[cfg.regime], op, p=cfg.p, cfg=cfg.quadrature())
+    u_true = make_truth(regime_truth[cfg.regime], op, p=cfg.p)
     pc = cfg.param_choice()
     alphas = tuple(choose_alpha(pc, delta, cfg.r, cfg.a) for delta in cfg.delta_list)
     problem, fam = make_problem(op, u_true), RegularizerFamily(op, m=cfg.m)
@@ -355,7 +352,7 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
 
     def solve_group(w: int) -> list[tuple[tuple[float, float, float], bool]]:
         # Forked workers inherit probs, so a task is the group's index and only floats come back.
-        results = minimize_many(probs[w::workers], fam, u_true, max_iter=cfg.max_iter, cfg=cfg.quadrature())
+        results = minimize_many(probs[w::workers], fam, u_true, max_iter=cfg.max_iter)
         return [(((res.u_min - u_true).sup_norm(), res.residual, res.penalty), res.certified) for res in results]
 
     solved: list = [None] * len(probs)
@@ -389,11 +386,11 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     expected = statistic = None
     if cfg.regime == "hoelder":
         expected = cfg.p / (cfg.p + cfg.a)
-        passed = fitted is not None and abs(fitted - expected) <= cfg.slope_tolerance
+        passed = fitted is not None and abs(fitted - expected) <= SLOPE_TOLERANCE
     elif cfg.regime == "low_order":
         # Like the Hoelder fit, the check needs 3 levels: over one level the ratio is 1 whatever the error.
         statistic = _bounded_ratio((r.delta, r.error_sup) for r in certified)
-        passed = all(r.certified for r in rows) and len(certified) >= 3 and statistic <= cfg.bounded_ratio_limit
+        passed = all(r.certified for r in rows) and len(certified) >= 3 and statistic <= BOUNDED_RATIO_LIMIT
     else:
         errs = [r.error_sup for r in rows]
         passed = all(r.certified for r in rows) and all(
@@ -407,7 +404,7 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
         rows=tuple(rows),
         fitted_slope=fitted,
         expected_slope=expected,
-        slope_tolerance=cfg.slope_tolerance,
+        slope_tolerance=SLOPE_TOLERANCE,
         statistic=statistic,
         passed=passed,
         timestamp=ts,
@@ -428,7 +425,6 @@ class CheckResult:
 
 def _suite_fracpow(cfg: ExperimentConfig) -> CheckResult:
     op = ScaleOperator(cfg.grid_n)
-    quad = cfg.quadrature()
     x = np.linspace(0.0, 1.0, cfg.grid_n)
     probes = {
         "ones": GridFunction.ones(cfg.grid_n),
@@ -440,7 +436,7 @@ def _suite_fracpow(cfg: ExperimentConfig) -> CheckResult:
     rows = []
     for p in (0.25, 0.5, 0.75):
         for name, u in probes.items():
-            err = (op.power(p, u, quad) - riemann_liouville(p, u)).sup_norm()
+            err = (op.power(p, u) - riemann_liouville(p, u)).sup_norm()
             good = err <= tol
             lines.append(f"p={p} u={name}: sup_err={err:.3e} {'PASS' if good else 'FAIL'}")
             rows.append((p, name, err, tol, good))
@@ -453,7 +449,7 @@ def _suite_decay(cfg: ExperimentConfig) -> CheckResult:
     fam = RegularizerFamily(op, m=cfg.m)
     betas = list(np.geomspace(1e-1, 1e-4, 7))
     bound = (op.kappa_star + 1.0) ** cfg.m
-    *bounded, half = decay_check(fam, (0.0, 1.0, float(cfg.m), 0.5), betas, seed=cfg.seed, cfg=cfg.quadrature())
+    *bounded, half = decay_check(fam, (0.0, 1.0, float(cfg.m), 0.5), betas, seed=cfg.seed)
     lines = []
     artifacts = {}
     ok = True
@@ -471,16 +467,15 @@ def _suite_decay(cfg: ExperimentConfig) -> CheckResult:
 
 def _suite_aux_rates(cfg: ExperimentConfig) -> CheckResult:
     op = ScaleOperator(cfg.grid_n)
-    quad = cfg.quadrature()
     fam = RegularizerFamily(op, m=cfg.m)
     zero = GridFunction.zeros(cfg.grid_n)
     lines = []
     artifacts = {}
     ok = True
 
-    u_h = make_truth("hoelder", op, p=0.5, cfg=quad)
+    u_h = make_truth("hoelder", op, p=0.5)
     betas = list(np.geomspace(1e-1, 1e-4, 7))
-    table = gap_table(fam, betas, u_h, zero, a=cfg.a, cfg=quad)
+    table = gap_table(fam, betas, u_h, zero, a=cfg.a)
     artifacts["gaps_hoelder.csv"] = table.to_csv()
     for name, vals in (("g1", table.g1), ("g2", table.g2), ("g3", table.g3)):
         slope = fit_slope(list(zip(table.betas, vals)))
@@ -488,18 +483,18 @@ def _suite_aux_rates(cfg: ExperimentConfig) -> CheckResult:
         ok = ok and good
         lines.append(f"hoelder p=0.5 {name}: slope={slope:.4f} (0.5 +- 0.07) {'PASS' if good else 'FAIL'}")
 
-    u_log = make_truth("low_order", op, cfg=quad)
+    u_log = make_truth("low_order", op)
     betas_log = list(np.geomspace(1e-1, 1e-6, 11))
-    table = gap_table(fam, betas_log, u_log, zero, a=cfg.a, cfg=quad)
+    table = gap_table(fam, betas_log, u_log, zero, a=cfg.a)
     artifacts["gaps_low_order.csv"] = table.to_csv()
     diagnostics = []
     for name, vals in (("g1", table.g1), ("g2", table.g2), ("g3", table.g3)):
         ratio = _bounded_ratio(zip(table.betas, vals))
-        good = ratio <= cfg.bounded_ratio_limit
+        good = ratio <= BOUNDED_RATIO_LIMIT
         ok = ok and good
         lines.append(
             f"low-order {name}: max/min of g*log(1/beta) = {ratio:.2f} "
-            f"<= {cfg.bounded_ratio_limit} {'PASS' if good else 'FAIL'}"
+            f"<= {BOUNDED_RATIO_LIMIT} {'PASS' if good else 'FAIL'}"
         )
         # Diagnostic: the same statistic restricted to the zone the grid resolves
         # (beta at or above the mesh width); below it every grid vector is
@@ -515,7 +510,7 @@ def _suite_aux_rates(cfg: ExperimentConfig) -> CheckResult:
 
 def _suite_nonlinearity(cfg: ExperimentConfig) -> CheckResult:
     op = ScaleOperator(cfg.grid_n)
-    problem = make_problem(op, make_truth("hoelder", op, p=1.0, cfg=cfg.quadrature()))
+    problem = make_problem(op, make_truth("hoelder", op, p=1.0))
     rep = nonlinearity_check(problem, rho=0.5, n_samples=1000, seed=cfg.seed)
     lines = (
         f"pointwise preparatory inequality failures: {rep.n_prep_fail}",

@@ -1,5 +1,7 @@
 import math
+import re
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -499,8 +501,13 @@ def test_log_smooth_bounds_kernel_work(op64):
     # 4999 kernels of that size, minutes at n=64: it is rejected before the first.
     # A Hoelder truth builds one kernel, so it keeps the step.
     fine = QuadratureConfig(step=2e-4)
-    with pytest.raises(ValueError, match=r"needs 2.78e\+11 kernel operations at n=64, over 1e\+10"):
-        log_smooth_element(op64, GridFunction.ones(64), 2.0, fine)
+    message = (
+        "log-class quadrature with step 0.0002 and tail_tol 1e-06 needs 2.78e+11 kernel operations at n=64, over 1e+10"
+    )
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        log_smooth_element(op64, GridFunction.ones(64), cfg=fine)
+    assert time.perf_counter() - start < 10.0
     assert op64.power(0.5, GridFunction.ones(64), fine).sup_norm() > 0.0
 
 
