@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,8 +49,7 @@ class ExpVolterraProblem:
     """A fixed-truth instance of the exponential Volterra problem.
 
     c1 and c2 are the two-sided derivative comparison constants at the truth;
-    c1 * c2 = 1 exactly since both come from ||G u_true||.  The degree of
-    ill-posedness of this model is a = 1.
+    c1 * c2 = 1 exactly since both come from ||G u_true||.
     """
 
     op: ScaleOperator
@@ -57,6 +57,8 @@ class ExpVolterraProblem:
     f_true: GridFunction
     c1: float
     c2: float
+    #: Degree of ill-posedness: the model is F(u) = exp(G^a u) at a = 1, the rates' a.
+    a: ClassVar[float] = 1.0
 
     def forward(self, u: GridFunction) -> GridFunction:
         """F(u) = exp(G u); raises OverflowError if the exponential overflows."""

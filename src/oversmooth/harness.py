@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence, TypeVar, get_type_hints
 import numpy as np
 
 from . import __version__, scale
-from .exp_volterra import NoiseSpec, add_noise, make_problem, make_truth, nonlinearity_check
+from .exp_volterra import ExpVolterraProblem, NoiseSpec, add_noise, make_problem, make_truth, nonlinearity_check
 from .fitting import NOISE_FLOOR, fit_slope
 from .grids import GridFunction, _integer, csv_table
 from .lavrentiev import RegularizerFamily, decay_check, gap_table
@@ -82,7 +82,6 @@ class ExperimentConfig:
     regime: str = "hoelder"
     p: float = 1.0
     r: float = 1.0
-    a: float = 1.0
     m: int = 2
     c_alpha: float = 1.0
     delta_list: tuple[float, ...] = field(default_factory=lambda: tuple(np.geomspace(1e-1, 10**-4.5, 8)))
@@ -94,7 +93,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name, least in (("grid_n", 64), ("m", None), ("seed", 0), ("n_seeds", 1), ("max_iter", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        for name in ("p", "r", "a", "c_alpha"):
+        for name in ("p", "r", "c_alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.n_seeds > _MAX_SEEDS:
@@ -102,7 +101,7 @@ class ExperimentConfig:
         if self.regime not in REGIME_NAMES:
             raise ValueError(f"unknown regime: {self.regime!r}")
         object.__setattr__(self, "regime", REGIME_NAMES[self.regime])
-        if self.m < 1 + self.a:
+        if self.m < 1 + ExpVolterraProblem.a:
             raise ValueError("need saturation m >= 1 + a")
         deltas = tuple(float(d) for d in self.delta_list)
         if not deltas:
@@ -116,7 +115,7 @@ class ExperimentConfig:
             raise ValueError("low-order noise levels must be below 1")
         object.__setattr__(self, "delta_list", deltas)
         # Build the alpha rule and noise spec of a study: bad fields fail here, not mid-run.
-        choose_alpha(self.param_choice(), deltas[0], self.r, self.a)
+        choose_alpha(self.param_choice(), deltas[0], self.r, ExpVolterraProblem.a)
         NoiseSpec(deltas[0], self.noise_kind)
 
     def quadrature(self) -> QuadratureConfig:
@@ -144,7 +143,8 @@ class RateReport:
     rows: tuple[RateRow, ...]
     fitted_slope: float | None
     expected_slope: float | None
-    slope_tolerance: float
+    #: The limit the verdict held: SLOPE_TOLERANCE (Hoelder), BOUNDED_RATIO_LIMIT (low-order), None (none).
+    gate: float | None
     statistic: float | None
     passed: bool
     timestamp: str
@@ -332,9 +332,9 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     op = ScaleOperator(cfg.grid_n)
     regime_truth = {"hoelder": "hoelder", "low_order": "low_order", "none": "generic_continuous"}
     u_true = make_truth(regime_truth[cfg.regime], op, p=cfg.p)
-    pc = cfg.param_choice()
-    alphas = tuple(choose_alpha(pc, delta, cfg.r, cfg.a) for delta in cfg.delta_list)
     problem, fam = make_problem(op, u_true), RegularizerFamily(op, m=cfg.m)
+    pc = cfg.param_choice()
+    alphas = tuple(choose_alpha(pc, delta, cfg.r, problem.a) for delta in cfg.delta_list)
     probs = [
         TikhonovProblem(
             forward_problem=problem,
@@ -343,7 +343,6 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
             u_bar_witness=GridFunction.zeros(cfg.grid_n),
             alpha=alpha,
             r=cfg.r,
-            a=cfg.a,
         )
         for i, (delta, alpha) in enumerate(zip(cfg.delta_list, alphas))
         for j in range(cfg.n_seeds)
@@ -359,7 +358,7 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     for w, group in enumerate(_pool_map(solve_group, range(workers))):
         solved[w::workers] = group
 
-    kap = coupling_exponent(cfg.r, cfg.a)
+    kap = coupling_exponent(cfg.r, problem.a)
     rows: list[RateRow] = []
     for i, (delta, alpha) in enumerate(zip(cfg.delta_list, alphas)):
         level = solved[i * cfg.n_seeds : (i + 1) * cfg.n_seeds]
@@ -383,14 +382,14 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     fit_points = [(r.delta, r.error_sup) for r in certified if r.error_sup > NOISE_FLOOR]
     fitted = fit_slope(fit_points) if len(fit_points) >= 3 else None
 
-    expected = statistic = None
+    expected = statistic = gate = None
     if cfg.regime == "hoelder":
-        expected = cfg.p / (cfg.p + cfg.a)
-        passed = fitted is not None and abs(fitted - expected) <= SLOPE_TOLERANCE
+        expected, gate = cfg.p / (cfg.p + problem.a), SLOPE_TOLERANCE
+        passed = fitted is not None and abs(fitted - expected) <= gate
     elif cfg.regime == "low_order":
         # Like the Hoelder fit, the check needs 3 levels: over one level the ratio is 1 whatever the error.
-        statistic = _bounded_ratio((r.delta, r.error_sup) for r in certified)
-        passed = all(r.certified for r in rows) and len(certified) >= 3 and statistic <= BOUNDED_RATIO_LIMIT
+        statistic, gate = _bounded_ratio((r.delta, r.error_sup) for r in certified), BOUNDED_RATIO_LIMIT
+        passed = all(r.certified for r in rows) and len(certified) >= 3 and statistic <= gate
     else:
         errs = [r.error_sup for r in rows]
         passed = all(r.certified for r in rows) and all(
@@ -404,7 +403,7 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
         rows=tuple(rows),
         fitted_slope=fitted,
         expected_slope=expected,
-        slope_tolerance=SLOPE_TOLERANCE,
+        gate=gate,
         statistic=statistic,
         passed=passed,
         timestamp=ts,
@@ -475,7 +474,7 @@ def _suite_aux_rates(cfg: ExperimentConfig) -> CheckResult:
 
     u_h = make_truth("hoelder", op, p=0.5)
     betas = list(np.geomspace(1e-1, 1e-4, 7))
-    table = gap_table(fam, betas, u_h, zero, a=cfg.a)
+    table = gap_table(fam, betas, u_h, zero, a=ExpVolterraProblem.a)
     artifacts["gaps_hoelder.csv"] = table.to_csv()
     for name, vals in (("g1", table.g1), ("g2", table.g2), ("g3", table.g3)):
         slope = fit_slope(list(zip(table.betas, vals)))
@@ -485,7 +484,7 @@ def _suite_aux_rates(cfg: ExperimentConfig) -> CheckResult:
 
     u_log = make_truth("low_order", op)
     betas_log = list(np.geomspace(1e-1, 1e-6, 11))
-    table = gap_table(fam, betas_log, u_log, zero, a=cfg.a)
+    table = gap_table(fam, betas_log, u_log, zero, a=ExpVolterraProblem.a)
     artifacts["gaps_low_order.csv"] = table.to_csv()
     diagnostics = []
     for name, vals in (("g1", table.g1), ("g2", table.g2), ("g3", table.g3)):

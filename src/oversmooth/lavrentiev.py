@@ -226,12 +226,12 @@ def auxiliary_element(
     u_true: GridFunction,
     u_bar_witness: GridFunction,
     a: float = 1.0,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> AuxiliaryElement:
     """Build u_aux(beta) from the truth and the strong-norm witness of u_bar.
 
     Requires 0 < a < inf and saturation m >= 1 + a, the regime in which the
-    element's gap quantities carry the error analysis.  Both defining forms are evaluated
+    element's gap quantities carry the error analysis; G^a runs at the default
+    quadrature.  Both defining forms are evaluated
     and must agree to ``_AUX_FORMS_RTOL`` relative; the returned element uses the form
     u_bar + G R_beta (u_true - u_bar), which makes the witness relation exact.
     """
@@ -260,7 +260,7 @@ def auxiliary_element(
         u_aux=form_commuted,
         witness=witness,
         residual_to_truth=s.sup_norm(),
-        a_norm_gap=op.power(a, s, cfg).sup_norm(),
+        a_norm_gap=op.power(a, s).sup_norm(),
         one_norm=witness.sup_norm(),
     )
 
@@ -285,7 +285,6 @@ def gap_table(
     u_true: GridFunction,
     u_bar_witness: GridFunction,
     a: float = 1.0,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> GapTable:
     """Evaluate g1, g2, g3 at each beta from that beta's auxiliary element.
 
@@ -298,7 +297,7 @@ def gap_table(
         raise ValueError("betas must not be empty")
     if not all(0.0 < b < np.inf for b in blist):
         raise ValueError(f"betas must be positive and finite, got {blist}")
-    rows = [auxiliary_element(fam, beta, u_true, u_bar_witness, a, cfg) for beta in blist]
+    rows = [auxiliary_element(fam, beta, u_true, u_bar_witness, a) for beta in blist]
     return GapTable(
         a=a,
         betas=tuple(blist),

@@ -222,7 +222,7 @@ def coupling_exponent(r: float, a: float) -> float:
 
 @dataclass(frozen=True)
 class TikhonovProblem:
-    """One instance: forward problem, noisy data, initial guess, exponents, alpha."""
+    """One instance: forward problem (with its a), noisy data, initial guess, exponent r, alpha."""
 
     forward_problem: ExpVolterraProblem
     f_delta: GridFunction
@@ -230,12 +230,11 @@ class TikhonovProblem:
     u_bar_witness: GridFunction
     alpha: float
     r: float = 1.0
-    a: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha:g}")
-        coupling_exponent(self.r, self.a)  # raises unless r and a are positive and finite
+        coupling_exponent(self.r, self.forward_problem.a)  # raises unless r is positive and finite
         if not 0.0 <= self.delta < math.inf:
             raise ValueError(f"delta must be nonnegative and finite, got {self.delta:g}")
         self.forward_problem.op._check_size(self.f_delta)
@@ -467,7 +466,6 @@ def minimize_many(
     fam: RegularizerFamily,
     u_true_for_certificate: GridFunction,
     max_iter: int = 300,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> list[MinimizeResult]:
     """``minimize`` for each of the problems, which share the grid and r, in one lockstep block.
 
@@ -485,8 +483,8 @@ def minimize_many(
     _load_lbfgs()
     scored = []
     for prob in probs:
-        beta = prob.alpha ** coupling_exponent(prob.r, prob.a)
-        aux = auxiliary_element(fam, beta, u_true_for_certificate, prob.u_bar_witness, prob.a, cfg)
+        beta = prob.alpha ** coupling_exponent(prob.r, prob.forward_problem.a)
+        aux = auxiliary_element(fam, beta, u_true_for_certificate, prob.u_bar_witness, prob.forward_problem.a)
         anchor = np.array(aux.witness.values)
         scored.append([(_evaluate(prob, anchor), anchor)])
     floor = 1e-12
@@ -539,14 +537,15 @@ def minimize(
     stage's iterate) is scored once by ``_evaluate``, the same evaluator
     behind ``objective``; the anchor's score is the certificate bound, and
     the result is the argmin of the scores, so its objective never exceeds
-    the bound.  The solve is deterministic: ``seed`` is accepted for call
-    compatibility and unused.  This is ``minimize_many`` on a block of one
+    the bound.  The solve is deterministic, and runs at the default
+    quadrature: ``seed`` and ``cfg`` are accepted for call compatibility and
+    unused.  This is ``minimize_many`` on a block of one
     row, the solver's one calling convention; its evaluations take the scalar
     steps.  Each descent runs ``_lbfgsb`` (``_descend``), through ``_lbfgs``
     where a function is bound there: one put there before the first solve, or
     scipy's ``minimize`` where ``_load_lbfgs`` binds it.
     """
-    (result,) = minimize_many([prob], fam, u_true_for_certificate, max_iter, cfg)
+    (result,) = minimize_many([prob], fam, u_true_for_certificate, max_iter)
     if not result.certified:
         raise UncertifiedResultError(
             f"objective {result.objective} exceeds the certificate bound {result.certificate_bound}", result

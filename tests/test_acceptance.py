@@ -124,7 +124,7 @@ def test_criterion_5_gaps_hoelder(op256, quad):
     fam = RegularizerFamily(op256, m=2)
     u_true = make_truth("hoelder", op256, p=0.5, cfg=quad)
     betas = list(np.geomspace(1e-1, 1e-4, 7))
-    table = gap_table(fam, betas, u_true, GridFunction.zeros(256), a=1.0, cfg=quad)
+    table = gap_table(fam, betas, u_true, GridFunction.zeros(256), a=1.0)
     slopes = [fit_slope(list(zip(betas, vals))) for vals in (table.g1, table.g2, table.g3)]
     passed = all(abs(s - 0.5) <= 0.07 for s in slopes)
     report("5 gaps-hoelder", passed, "slopes=" + ",".join(f"{s:.3f}" for s in slopes))
@@ -142,7 +142,7 @@ def test_criterion_5_gaps_log_order(op256, quad):
     fam = RegularizerFamily(op256, m=2)
     u_true = make_truth("low_order", op256, cfg=quad)
     betas = list(np.geomspace(1e-1, 1e-6, 11))
-    table = gap_table(fam, betas, u_true, GridFunction.zeros(256), a=1.0, cfg=quad)
+    table = gap_table(fam, betas, u_true, GridFunction.zeros(256), a=1.0)
     worst = 0.0
     for vals in (table.g1, table.g2, table.g3):
         scaled = [g * math.log(1.0 / b) for b, g in zip(betas, vals)]

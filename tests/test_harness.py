@@ -122,13 +122,12 @@ def test_config_file_parsing(tmp_path):
     assert cfg.c_alpha == 2.5
 
     # Every field round-trips with its own type; integral text for a float
-    # field (a = 2) must still come back as a float.
+    # field (r = 2) must still come back as a float.
     values = {
         "grid_n": 128,
         "regime": "low_order",
         "p": 0.75,
-        "r": 1.5,
-        "a": 2.0,
+        "r": 2.0,
         "m": 3,
         "c_alpha": 2.5,
         "delta_list": (1e-1, 1e-2, 1e-3),
@@ -138,7 +137,7 @@ def test_config_file_parsing(tmp_path):
         "max_iter": 200,
     }
     assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
-    text = {"a": "2", "delta_list": "1e-1, 1e-2, 1e-3"}
+    text = {"r": "2", "delta_list": "1e-1, 1e-2, 1e-3"}
     path = tmp_path / "all.cfg"
     path.write_text("".join(f"{key} = {text.get(key, value)}\n" for key, value in values.items()))
     cfg = parse_config_file(path)
@@ -261,11 +260,9 @@ BAD_CONFIG_LINES = {
     "p = 1.5": "order p in (0, 1]",
     "c_alpha = 0": "constant C must be positive",
     "r = 0": "exponents r and a must be positive",
-    "a = -0.5": "exponents r and a must be positive",
     "noise_kind = foo": "unknown noise kind: 'foo'",
     "p = nan": "p must be finite",
     "r = inf": "r must be finite",
-    "a = nan": "a must be finite",
     "c_alpha = nan": "c_alpha must be finite",
     "delta_list = nan": "noise levels must be positive and finite",
     "delta_list = inf, 0.1": "noise levels must be positive and finite",
@@ -300,11 +297,12 @@ def test_cli_rejects_log_class_quadrature_work(tmp_path, capsys):
     [
         "warm_chaining = true",
         "n_random_starts = 2",
-        # The quadrature is scale's, and the two gates are harness constants, not settings.
+        # The quadrature is scale's, the two gates are harness constants and a is the model's, not settings.
         "tail_tol = 1e-7",
         "quad_step = 0.04",
         "slope_tolerance = 0.5",
         "bounded_ratio_limit = 50",
+        "a = 2",
     ],
 )
 def test_config_file_rejects_removed_keys(tmp_path, capsys, line):
@@ -372,27 +370,27 @@ def test_low_order_study_needs_three_levels(deltas, tmp_path, capsys):
 FIXTURE_DIGESTS = {
     "study_hoelder_p1": (
         "4c307b17d6694880856366d20b3113991ee804474767a76551fed673a3328963",
-        "7e959e51e856bcd70832285a0b5446b224d5c8d82aec5603caeb0755d752a7b8",
+        "6b6bbc92c93623dfc876b670814a4f4c067b71e4e10acf74cbeb9c4039a42ac4",
     ),
     "study_hoelder_p05": (
         "1972103459c2ba887893c202b57a324a20f015b8f165404efe3dc014b41fee32",
-        "65e67f5f2186f27f3c65ce21ee7c434cd4b165887369c8fe04c4d11c560466b8",
+        "2e870e98d70421a0e24204499d599dee66cb94e583bed09e73d696cf31024789",
     ),
     "study_low_order": (
         "9a308980514d39d9c165c48c6ac59a11054f2c56333f2dc34bb999826dfc2fe5",
-        "daadfe4efc27fabfd335cb8e9715ecd1dd3655a15d7899ee0a7d82ad24f8af23",
+        "c997fd004c61f9ca85d71bdb2bdd1d04123453f04fce24cb05af3c9873ff736a",
     ),
     "study_none": (
         "d742eb45b0e25dfad246ee81e28e26855ffae7f9bcada48d54af673ed32e2d18",
-        "844274e5ee08cb9fd44c298e1f31988a4068fe742f6692f1e03eb1b8f1506f90",
+        "89239f9d1bffcfeb1155771832e4ad86bdb3a77b7d76724fb6cc5eff1c13e4cf",
     ),
     "study_hoelder_p1_n128": (
         "d302f70fe8eeff61e4171954eab52ef9806dc8f4f4d239a8b6b43d9b67259d84",
-        "dba3838fef6a992e35400330b13cd302f5b2ca4e5bc768bc2be1c268461fd325",
+        "66dafa683f13d4bc4069527929a5472c65929ea4d5a6939d3f15680a6091e094",
     ),
     "study_hoelder_p05_n128": (
         "3e733ccd985f21917f1475111aa4a61c855ddc1d070913ce659d59f8f27c8dba",
-        "6a79556a534a7e7270bb8aacae3fa6ca811e2db040e64d330769f8d1fb8af161",
+        "ee889a8ab1d4270d7b76fe85e8ad133a75ef4dc09cb1ae1cb602f521c36bc02a",
     ),
 }
 

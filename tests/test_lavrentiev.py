@@ -286,11 +286,11 @@ def test_decay_single_order_returns_its_report(fam, quad):
 # -- auxiliary elements -----------------------------------------------------------
 
 
-def test_aux_with_exact_guess(fam, quad):
+def test_aux_with_exact_guess(fam):
     # u_bar = truth: every gap quantity vanishes.
     w = GridFunction.ones(256)
     u_true = fam.op.apply(w)
-    aux = auxiliary_element(fam, 0.05, u_true, w, cfg=quad)
+    aux = auxiliary_element(fam, 0.05, u_true, w)
     assert aux.residual_to_truth == 0.0
     assert aux.a_norm_gap == 0.0
     assert aux.one_norm == 0.0
@@ -299,7 +299,7 @@ def test_aux_with_exact_guess(fam, quad):
 
 def test_aux_forms_agree(fam, quad):
     u_true = make_truth("hoelder", fam.op, p=0.5, cfg=quad)
-    aux = auxiliary_element(fam, 0.02, u_true, GridFunction.zeros(256), cfg=quad)
+    aux = auxiliary_element(fam, 0.02, u_true, GridFunction.zeros(256))
     op = fam.op
     direct = op.apply(GridFunction.zeros(256)) + op.apply(aux.witness)
     assert (aux.u_aux - direct).sup_norm() == 0.0
@@ -312,14 +312,14 @@ def test_aux_consistency_guard(fam, quad, monkeypatch):
     u_true = make_truth("hoelder", fam.op, p=0.5, cfg=quad)
     monkeypatch.setattr(lavrentiev, "_AUX_FORMS_RTOL", 1e-18)
     with pytest.raises(InternalConsistencyError):
-        auxiliary_element(fam, 0.02, u_true, GridFunction.zeros(256), cfg=quad)
+        auxiliary_element(fam, 0.02, u_true, GridFunction.zeros(256))
 
 
 def test_aux_hoelder_decay_slope(fam, quad):
     u_true = make_truth("hoelder", fam.op, p=0.5, cfg=quad)
     betas = list(np.geomspace(1e-1, 1e-4, 7))
     g1 = [
-        auxiliary_element(fam, b, u_true, GridFunction.zeros(256), cfg=quad).residual_to_truth
+        auxiliary_element(fam, b, u_true, GridFunction.zeros(256)).residual_to_truth
         for b in betas
     ]
     assert abs(fit_slope(list(zip(betas, g1))) - 0.5) <= 0.07
@@ -344,25 +344,25 @@ def test_gap_table_rows_are_auxiliary_elements(fam, quad):
     u_true = make_truth("hoelder", fam.op, p=0.5, cfg=quad)
     w = GridFunction(0.3 * np.sin(3.0 * np.linspace(0.0, 1.0, 256)))
     betas = [1e-1, 1e-2, 1e-3]
-    table = gap_table(fam, betas, u_true, w, a=0.5, cfg=quad)
+    table = gap_table(fam, betas, u_true, w, a=0.5)
     for i, beta in enumerate(betas):
-        e = auxiliary_element(fam, beta, u_true, w, a=0.5, cfg=quad)
+        e = auxiliary_element(fam, beta, u_true, w, a=0.5)
         assert table.g1[i] == e.residual_to_truth
         assert table.g2[i] == e.a_norm_gap / beta**0.5
         assert table.g3[i] == beta * e.one_norm
 
 
-def test_gap_table_zero_gap(fam, quad):
+def test_gap_table_zero_gap(fam):
     w = GridFunction.ones(256)
     u_true = fam.op.apply(w)
-    table = gap_table(fam, [0.1, 0.01], u_true, w, cfg=quad)
+    table = gap_table(fam, [0.1, 0.01], u_true, w)
     assert all(v == 0.0 for v in table.g1 + table.g2 + table.g3)
 
 
 def test_gap_table_hoelder_slopes(fam, quad):
     u_true = make_truth("hoelder", fam.op, p=0.5, cfg=quad)
     betas = list(np.geomspace(1e-1, 1e-4, 7))
-    table = gap_table(fam, betas, u_true, GridFunction.zeros(256), a=1.0, cfg=quad)
+    table = gap_table(fam, betas, u_true, GridFunction.zeros(256), a=1.0)
     for vals in (table.g1, table.g2, table.g3):
         assert abs(fit_slope(list(zip(betas, vals))) - 0.5) <= 0.07
 
@@ -370,16 +370,14 @@ def test_gap_table_hoelder_slopes(fam, quad):
 def test_gap_table_generic_truth_decreases(fam, quad):
     u_true = make_truth("generic_continuous", fam.op, cfg=quad)
     betas = list(np.geomspace(1e-1, 1e-6, 11))
-    table = gap_table(fam, betas, u_true, GridFunction.zeros(256), a=1.0, cfg=quad)
+    table = gap_table(fam, betas, u_true, GridFunction.zeros(256), a=1.0)
     for vals in (table.g1, table.g2, table.g3):
         assert all(b < a * (1.0 + 1e-9) for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.1 * vals[0]
 
 
-def test_gap_table_csv_format(fam, quad):
-    table = gap_table(
-        fam, [0.1, 0.01], GridFunction.ones(256), GridFunction.zeros(256), cfg=quad
-    )
+def test_gap_table_csv_format(fam):
+    table = gap_table(fam, [0.1, 0.01], GridFunction.ones(256), GridFunction.zeros(256))
     lines = table.to_csv().strip().split("\n")
     assert lines[0] == "beta,g1,g2,g3"
     assert len(lines) == 3
@@ -421,16 +419,16 @@ def test_gap_log_truth_bounded_in_resolved_zone(quad):
     fam = RegularizerFamily(op, m=2)
     u_true = log_smooth_element(op, GridFunction.ones(op.n), 2.0, quad)
     betas = list(np.geomspace(1e-1, 1e-3, 9))
-    table = gap_table(fam, betas, u_true, GridFunction.zeros(op.n), a=1.0, cfg=quad)
+    table = gap_table(fam, betas, u_true, GridFunction.zeros(op.n), a=1.0)
     for vals in (table.g1, table.g2, table.g3):
         scaled = [g * math.log(1.0 / b) for b, g in zip(betas, vals)]
         assert max(scaled) / min(scaled) <= 5.0
 
 
-def test_aux_saturation_guard(op256, quad):
+def test_aux_saturation_guard(op256):
     shallow = RegularizerFamily(op256, m=1)
     with pytest.raises(ValueError, match="saturation"):
-        auxiliary_element(shallow, 0.1, GridFunction.ones(256), GridFunction.zeros(256), a=1.0, cfg=quad)
+        auxiliary_element(shallow, 0.1, GridFunction.ones(256), GridFunction.zeros(256), a=1.0)
 
 
 @given(

@@ -7,6 +7,8 @@ import pytest
 import scipy.optimize
 
 from oversmooth import (
+    ExperimentConfig,
+    ExpVolterraProblem,
     GridFunction,
     NoiseSpec,
     ParamChoice,
@@ -98,6 +100,16 @@ def test_choose_alpha_validation():
             ParamChoice("low_order", C=c)
     with pytest.raises(ValueError, match="^exponents r and a"):
         choose_alpha(ParamChoice("low_order"), 1e-2, math.nan, 1.0)
+
+
+def test_a_is_the_forward_models(setup):
+    # The degree of ill-posedness belongs to the model: neither a study nor a problem sets it.
+    problem, _, _ = setup
+    with pytest.raises(TypeError):
+        ExperimentConfig(a=2.0)
+    with pytest.raises(TypeError):
+        TikhonovProblem(problem, problem.f_true, 0.0, GridFunction.zeros(problem.op.n), 0.1, a=2.0)
+    assert make_prob(problem, 1e-2, 1e-2).forward_problem.a == ExpVolterraProblem.a == 1.0
 
 
 # -- the functional ------------------------------------------------------------
@@ -320,7 +332,7 @@ def test_max_iter_fails_where_it_enters(op64, quad, entry, max_iter, error, mess
         if entry == "minimize":
             minimize(prob, fam, u_true, max_iter=max_iter, cfg=quad)
         else:
-            minimize_many([prob], fam, u_true, max_iter=max_iter, cfg=quad)
+            minimize_many([prob], fam, u_true, max_iter=max_iter)
 
 
 def test_smoothed_gradient_matches_finite_differences(op64, quad):
