@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .grids import GridFunction, _integer, csv_table
-from .scale import DEFAULT_QUADRATURE, ROW_BLOCK, QuadratureConfig, ScaleOperator, log_smooth_element
+from .scale import ROW_BLOCK, QuadratureConfig, ScaleOperator, log_smooth_element
 
 __all__ = [
     "ExpVolterraProblem",
@@ -101,7 +101,7 @@ def make_truth(
     op: ScaleOperator,
     p: float | None = None,
     lam: float = 2.0,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    cfg: QuadratureConfig | None = None,
 ) -> GridFunction:
     """Construct a ground truth of prescribed smoothness.
 
@@ -111,13 +111,15 @@ def make_truth(
     regime "low_order": logarithmic-class element built from the witness 1.
     regime "generic_continuous": 1/log(e/x), continuous, vanishing at 0, with
     no constructed smoothness order; maximum value 1 at x = 1.
+    Fractional powers run at the one quadrature, so ``cfg`` is accepted for
+    call compatibility and unused.
     """
     if regime == "hoelder":
         if p is None or not 0.0 < p <= 1.0:
             raise ValueError("hoelder regime needs an order p in (0, 1]")
-        return op.power(p, GridFunction.ones(op.n), cfg)
+        return op.power(p, GridFunction.ones(op.n))
     if regime == "low_order":
-        return log_smooth_element(op, GridFunction.ones(op.n), lam, cfg)
+        return log_smooth_element(op, GridFunction.ones(op.n), lam)
     if regime == "generic_continuous":
         x = np.linspace(0.0, 1.0, op.n)
         vals = np.zeros(op.n)

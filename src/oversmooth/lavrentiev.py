@@ -28,7 +28,7 @@ import numpy as np
 
 from .fitting import NOISE_FLOOR, fit_slope
 from .grids import GridFunction, _integer, csv_table
-from .scale import DEFAULT_QUADRATURE, ROW_BLOCK, QuadratureConfig, ScaleOperator, split_order
+from .scale import ROW_BLOCK, QuadratureConfig, ScaleOperator, split_order
 
 __all__ = [
     "RegularizerFamily",
@@ -134,7 +134,7 @@ def decay_check(
     betas: Sequence[float],
     n_samples: int = 100,
     seed: int = 0,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    cfg: QuadratureConfig | None = None,
 ) -> list[DecayReport] | DecayReport:
     """Estimate ||S_beta G^p|| by probe sampling for each order p; one report per order.
 
@@ -147,7 +147,8 @@ def decay_check(
     G^q is applied once, the companion once per beta, and an integer part k is
     added by k more applications of G, since S_beta commutes with G.  The
     reports come in the order of ``orders``; a single number in place of the
-    list returns its report alone.
+    list returns its report alone.  G^q runs at the one quadrature, so
+    ``cfg`` is accepted for call compatibility and unused.
     """
     single = np.ndim(orders) == 0
     plist = [float(p) for p in np.atleast_1d(orders)]
@@ -175,7 +176,7 @@ def decay_check(
     for start in range(0, len(probes), ROW_BLOCK):
         block = probes[start : start + ROW_BLOCK]
         for q, peak in peaks.items():
-            powered = block if q == 0.0 else op._balakrishnan(q, block, cfg)
+            powered = block if q == 0.0 else op._balakrishnan(q, block)
             for j, b in enumerate(blist):
                 v = fam._companion_values(b, powered)
                 for k in range(len(peak)):
@@ -230,10 +231,10 @@ def auxiliary_element(
     """Build u_aux(beta) from the truth and the strong-norm witness of u_bar.
 
     Requires 0 < a < inf and saturation m >= 1 + a, the regime in which the
-    element's gap quantities carry the error analysis; G^a runs at the default
-    quadrature.  Both defining forms are evaluated
-    and must agree to ``_AUX_FORMS_RTOL`` relative; the returned element uses the form
-    u_bar + G R_beta (u_true - u_bar), which makes the witness relation exact.
+    element's gap quantities carry the error analysis.  Both defining forms
+    are evaluated and must agree to ``_AUX_FORMS_RTOL`` relative; the returned
+    element uses the form u_bar + G R_beta (u_true - u_bar), which makes the
+    witness relation exact.
     """
     if not 0.0 < a < np.inf:
         raise ValueError(f"a must be positive and finite, got {a:g}")

@@ -21,11 +21,12 @@ integral
     G^p u = (sin pi p / pi) * int_0^inf s^(p-1) (G + s I)^-1 G u ds
 
 after the substitution s = exp(t), truncated so that both neglected tails stay
-below the configured tolerance, and integrated by the composite trapezoid
-rule; general p >= 0 composes the fractional part with repeated applications
-of G.  Because every shifted solve is the same first-order recurrence, the
-whole trapezoid sum is one causal convolution kernel per (n, q, quadrature):
-it is built in O(K) memory for K nodes, cached, and applied by FFT.  A
+below 1e-6, and integrated by the composite trapezoid rule at step 0.05 in t
+(``QuadratureConfig``, the one quadrature: neither value is a setting);
+general p >= 0 composes the fractional part with repeated applications of G.
+Because every shifted solve is the same first-order recurrence, the whole
+trapezoid sum is one causal convolution kernel per (n, q): it is built in
+O(K) memory for K nodes, cached, and applied by FFT.  A
 product-integration discretization of the Riemann-Liouville integral, its
 two weight convolutions also done by numpy's FFT, is provided as an
 independent cross-check route.
@@ -74,28 +75,18 @@ GROWTH_BOUND = 0.5
 # tail below tail_tol outright.
 _TAIL_MARGIN = math.log(8.0)
 
-#: Most quadrature nodes over the widest range (q_eff = 0.1 or 0.9), about 11.1 log(8 / tail_tol) / step: the
-#: default takes 3.5k and tail_tol = 1e-300 154k, and at 1e6 a kernel's node arrays take about 50 MB.
-_MAX_QUADRATURE_NODES = 1_000_000
-
-#: Most kernel work ``log_smooth_element`` takes on: (n - 1) x the kernels it
-#: builds x ``QuadratureConfig.nodes``.  Its time ran 1.0-1.6 ns per unit at
-#: steps 0.001-0.05 on a 2-core Xeon VM (3.6 ns at n=64), so this is 10-16 s;
-#: the default quadrature needs 6.9e7 at n=1025 and 2.8e8 at n=4097, and step
-#: 2e-4 needs 2.8e11 at n=64, about 5 minutes.
-_MAX_LOG_CLASS_WORK = 1e10
-
 
 class QuadratureError(RuntimeError):
-    """Raised when the fractional-power quadrature produces non-finite values."""
+    """Raised when the fractional-power quadrature produces non-finite values (an input near overflow)."""
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Controls the log-substituted Balakrishnan quadrature.
+    """The log-substituted Balakrishnan quadrature: the one every fractional power runs at.
 
+    It has no settings, so ``QuadratureConfig()`` takes no arguments.
     ``step`` is the node spacing in t = log s; the truncation bounds are
-    derived per call from ``tail_tol``, in (0, 1): with q_eff the fractional order
+    derived per order from ``tail_tol``: with q_eff the fractional order
     clamped to [0.1, 0.9],
 
         t_min = (log tail_tol - log 8) / q_eff,
@@ -105,37 +96,18 @@ class QuadratureConfig:
     prefactors.  The tail guarantee therefore covers fractional orders inside
     the clamp range [0.1, 0.9]; outside it the truncation degrades gracefully.
     ``log_smooth_element`` also takes its q-grid from ``step`` and its
-    truncation point from ``tail_tol``.  A pair that needs more than
-    ``_MAX_QUADRATURE_NODES`` nodes over the widest range is rejected, and
-    ``log_smooth_element`` bounds its kernels' total work too.
+    truncation point from ``tail_tol``.
     """
 
-    step: float = 0.05
-    tail_tol: float = 1e-6
+    step: ClassVar[float] = 0.05
+    tail_tol: ClassVar[float] = 1e-6
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.step) and self.step > 0.0):
-            raise ValueError("quadrature step must be positive and finite")
-        if not 0.0 < self.tail_tol < 1.0:
-            # A tail bound of 1 or more bounds nothing, and from 8 on t_min >= t_max leaves no node.
-            raise ValueError(f"tail_tol must be positive, finite and below 1, got {self.tail_tol:g}")
-        if self.nodes > _MAX_QUADRATURE_NODES:
-            raise ValueError(f"quadrature step and tail_tol need {self.nodes:.3g} nodes, over {_MAX_QUADRATURE_NODES:.0e}")
-
-    @property
-    def nodes(self) -> float:
-        """Quadrature nodes over the widest range, that of q_eff = 0.1."""
-        t_min, t_max = self.bounds_for(0.1)
-        return (t_max - t_min) / self.step
-
-    def bounds_for(self, q: float) -> tuple[float, float]:
+    @classmethod
+    def bounds_for(cls, q: float) -> tuple[float, float]:
         q_eff = min(max(q, 0.1), 0.9)
-        t_min = (math.log(self.tail_tol) - _TAIL_MARGIN) / q_eff
-        t_max = (-math.log(self.tail_tol) + _TAIL_MARGIN) / (1.0 - q_eff)
+        t_min = (math.log(cls.tail_tol) - _TAIL_MARGIN) / q_eff
+        t_max = (-math.log(cls.tail_tol) + _TAIL_MARGIN) / (1.0 - q_eff)
         return t_min, t_max
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 #: Rows per block when many vectors go through the operators together (the
@@ -155,17 +127,17 @@ def split_order(p: float) -> tuple[int, float]:
     return k, (0.0 if q < 1e-9 else q)
 
 
-#: The order-q kernels built so far, keyed (n, q, cfg), least recently used
+#: The order-q kernels built so far, keyed (n, q), least recently used
 #: first.  One suite pass at a single grid size uses about 20 kernels (the
 #: log-class q-grid plus the Hoelder orders); each holds n complex values, 64 KB
 #: at n=4097.  Every array is read-only because every caller shares it.  A pool
 #: worker hands the kernels it built back with its result
 #: (``harness._pool_map``), so the caller's next pool inherits them by fork.
-_kernels: dict[tuple[int, float, QuadratureConfig], np.ndarray] = {}
+_kernels: dict[tuple[int, float], np.ndarray] = {}
 _KERNEL_CACHE_SIZE = 64
 
 
-def _remember_kernels(built: dict[tuple[int, float, QuadratureConfig], np.ndarray]) -> None:
+def _remember_kernels(built: dict[tuple[int, float], np.ndarray]) -> None:
     """Add kernels to the cache, read-only, dropping the least recently used beyond its size."""
     for key, spectrum in built.items():
         spectrum.setflags(write=False)
@@ -175,17 +147,17 @@ def _remember_kernels(built: dict[tuple[int, float, QuadratureConfig], np.ndarra
         del _kernels[next(iter(_kernels))]
 
 
-def _balakrishnan_spectrum(n: int, q: float, cfg: QuadratureConfig) -> np.ndarray:
+def _balakrishnan_spectrum(n: int, q: float) -> np.ndarray:
     """The cached kernel of ``_build_spectrum``, built on first use."""
-    key = (n, q, cfg)
+    key = (n, q)
     spectrum = _kernels.get(key)
     if spectrum is None:
-        spectrum = _build_spectrum(n, q, cfg)
+        spectrum = _build_spectrum(n, q)
     _remember_kernels({key: spectrum})
     return spectrum
 
 
-def _build_spectrum(n: int, q: float, cfg: QuadratureConfig) -> np.ndarray:
+def _build_spectrum(n: int, q: float) -> np.ndarray:
     """Real FFT, at length 2(n-1), of the causal kernel of the order-q quadrature.
 
     For g = G u (so g_0 = 0) the shifted solve of ``ScaleOperator.solve_shifted``
@@ -194,30 +166,25 @@ def _build_spectrum(n: int, q: float, cfg: QuadratureConfig) -> np.ndarray:
     C sum_k w_k (G + s_k I)^-1 g is therefore the causal convolution of
     diff(g) with kappa(m) = sum_k (C w_k / d_k) rho_k^m, which one length-K
     recurrence builds; at length 2(n-1) the FFT convolution cannot wrap.
+    Every kernel is finite: exp(t) stays within 1e-69 .. 1e69 at the fixed
+    tail tolerance, and |rho| < 1.
     """
-    t_min, t_max = cfg.bounds_for(q)
-    m = int(math.ceil((t_max - t_min) / cfg.step))
+    t_min, t_max = QuadratureConfig.bounds_for(q)
+    m = int(math.ceil((t_max - t_min) / QuadratureConfig.step))
     t = np.linspace(t_min, t_max, m + 1)
     h2 = 0.5 / (n - 1)
-    # Non-finite intermediates (a tail tolerance so small that exp(t_max)
-    # overflows) surface as a QuadratureError below, not as warnings; raising
-    # keeps the bad kernel out of the cache.
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.exp(t)
-        d = s + h2
-        rho = (s - h2) / d
-        w = np.exp(q * t)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        r = (math.sin(math.pi * q) / math.pi) * ((t_max - t_min) / m) * w / d
-        kappa = np.empty(n - 1)
-        for j in range(n - 1):
-            kappa[j] = r.sum()
-            r *= rho
-        spectrum = np.fft.rfft(kappa, 2 * (n - 1))
-    if not np.all(np.isfinite(spectrum)):
-        raise QuadratureError(f"fractional power quadrature failed for q={q}")
-    return spectrum
+    s = np.exp(t)
+    d = s + h2
+    rho = (s - h2) / d
+    w = np.exp(q * t)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    r = (math.sin(math.pi * q) / math.pi) * ((t_max - t_min) / m) * w / d
+    kappa = np.empty(n - 1)
+    for j in range(n - 1):
+        kappa[j] = r.sum()
+        r *= rho
+    return np.fft.rfft(kappa, 2 * (n - 1))
 
 
 # -- scipy's extension modules, and LAPACK's banded triangular solve -------------
@@ -385,16 +352,12 @@ class ScaleOperator:
 
     # -- fractional powers ---------------------------------------------------
 
-    def power(
-        self,
-        p: float,
-        u: GridFunction,
-        cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    ) -> GridFunction:
+    def power(self, p: float, u: GridFunction) -> GridFunction:
         """Fractional power G^p u for p >= 0.
 
         Integer parts are applied exactly; a fractional remainder q in (0, 1)
-        is evaluated with the truncated log-substituted Balakrishnan integral.
+        is evaluated with the truncated log-substituted Balakrishnan integral
+        at the one quadrature, ``QuadratureConfig``.
         """
         if not 0.0 <= p < math.inf:
             raise ValueError(f"fractional order must be nonnegative and finite, got {p:g}")
@@ -404,11 +367,11 @@ class ScaleOperator:
         for _ in range(k):
             vals = self._apply_values(vals)
         if q > 0.0:
-            vals = self._balakrishnan(q, vals, cfg)
+            vals = self._balakrishnan(q, vals)
         return GridFunction(np.array(vals))
 
-    def _balakrishnan(self, q: float, vals: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
-        spectrum = _balakrishnan_spectrum(self.n, q, cfg)
+    def _balakrishnan(self, q: float, vals: np.ndarray) -> np.ndarray:
+        spectrum = _balakrishnan_spectrum(self.n, q)
         size = 2 * (self.n - 1)
         out = np.zeros_like(vals)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -435,40 +398,27 @@ class ScaleOperator:
 # -- scale elements ----------------------------------------------------------
 
 
-def log_smooth_element(
-    op: ScaleOperator,
-    w: GridFunction,
-    lam: float = 2.0,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> GridFunction:
+def log_smooth_element(op: ScaleOperator, w: GridFunction, lam: float = 2.0) -> GridFunction:
     """Element of the logarithmic smoothness class built from w.
 
     Evaluates the truncated exponentially weighted power integral
 
         u = int_0^Q exp(-lam q) G^q w~ dq,  w~ = range part of w,
 
-    by the trapezoid rule in q on the grid q = j / per_unit with
-    per_unit = ceil(1/step), so the grid spacing is ``cfg.step`` when 1/step is
-    an integer and the next finer reciprocal of an integer otherwise.  The
-    requirement lam > omega (the semigroup growth bound) makes the neglected
-    tail geometric; Q is chosen so it stays below the quadrature tail
-    tolerance.  The result lies in the domain of log G by construction.
-    Each q-node off the integers needs its own kernel, so a step and tail
-    tolerance whose kernels would take more than ``_MAX_LOG_CLASS_WORK`` are
-    rejected before any is built.
+    by the trapezoid rule in q on the grid q = j * dq, dq = 0.05 (the
+    quadrature's ``step``, whose reciprocal 20 is the nodes per unit of q).
+    The requirement lam > omega (the semigroup growth bound) makes the
+    neglected tail geometric; Q is chosen so it stays below the quadrature
+    tail tolerance 1e-6.  The result lies in the domain of log G by
+    construction.
     """
     if not GROWTH_BOUND < lam < math.inf:
         raise ValueError(f"lam must exceed the growth bound {GROWTH_BOUND} and be finite, got {lam:g}")
     op._check_size(w)
-    per_unit = math.ceil(1.0 / cfg.step - 1e-9)
-    dq = 1.0 / per_unit
-    q_max = -math.log(cfg.tail_tol) / (lam - GROWTH_BOUND)
+    dq = QuadratureConfig.step
+    per_unit = round(1.0 / dq)
+    q_max = -math.log(QuadratureConfig.tail_tol) / (lam - GROWTH_BOUND)
     m = int(math.ceil(q_max / dq))
-    if (work := (op.n - 1) * (min(per_unit, m + 1) - 1) * cfg.nodes) > _MAX_LOG_CLASS_WORK:
-        raise ValueError(
-            f"log-class quadrature with step {cfg.step:g} and tail_tol {cfg.tail_tol:g} needs {work:.3g} "
-            f"kernel operations at n={op.n}, over {_MAX_LOG_CLASS_WORK:.0e}"
-        )
     wt = op.range_part(w).values
     weights = np.full(m + 1, dq)
     weights[0] *= 0.5
@@ -478,7 +428,7 @@ def log_smooth_element(
     # evaluation is reused across all integer translates.
     acc = np.zeros(op.n)
     for j0 in range(min(per_unit, m + 1)):
-        vals = wt if j0 == 0 else op._balakrishnan(j0 * dq, wt, cfg)
+        vals = wt if j0 == 0 else op._balakrishnan(j0 * dq, wt)
         for j in range(j0, m + 1, per_unit):
             if j > j0:
                 vals = op._apply_values(vals)
@@ -499,24 +449,19 @@ class InterpolationReport:
     holds: bool
 
 
-def interpolation_check(
-    op: ScaleOperator,
-    p: float,
-    q: float,
-    u: GridFunction,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> InterpolationReport:
+def interpolation_check(op: ScaleOperator, p: float, q: float, u: GridFunction) -> InterpolationReport:
     """Check ||G^p u|| <= c ||G^q u||^(p/q) ||u||^(1-p/q) with c = 2(kappa_*+1).
 
     The moment inequality for fractional powers of a positive-type operator;
-    ``holds`` allows a slack of a few quadrature tail tolerances.
+    ``holds`` allows a slack of four quadrature tail tolerances, 4e-6 times
+    max(1, ||u||).
     """
     if not 0.0 < p < q <= 1.0:
         raise ValueError("orders must satisfy 0 < p < q <= 1")
-    lhs = op.power(p, u, cfg).sup_norm()
+    lhs = op.power(p, u).sup_norm()
     c = 2.0 * (op.kappa_star + 1.0)
-    rhs = c * op.power(q, u, cfg).sup_norm() ** (p / q) * u.sup_norm() ** (1.0 - p / q)
-    tol = 4.0 * cfg.tail_tol * max(1.0, u.sup_norm())
+    rhs = c * op.power(q, u).sup_norm() ** (p / q) * u.sup_norm() ** (1.0 - p / q)
+    tol = 4.0 * QuadratureConfig.tail_tol * max(1.0, u.sup_norm())
     return InterpolationReport(p=p, q=q, lhs=lhs, rhs=rhs, constant=c, holds=lhs <= rhs + tol)
 
 

@@ -46,7 +46,7 @@ import numpy as np
 from .exp_volterra import ExpVolterraProblem, _exp_map
 from .grids import GridFunction, _integer
 from .lavrentiev import RegularizerFamily, auxiliary_element
-from .scale import DEFAULT_QUADRATURE, QuadratureConfig, _scipy_extension
+from .scale import QuadratureConfig, _scipy_extension
 
 __all__ = [
     "TikhonovProblem",
@@ -525,7 +525,7 @@ def minimize(
     u_true_for_certificate: GridFunction,
     seed: int = 0,
     max_iter: int = 300,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    cfg: QuadratureConfig | None = None,
 ) -> MinimizeResult:
     """Certified approximate minimization of T over the witness slice.
 
@@ -537,11 +537,10 @@ def minimize(
     stage's iterate) is scored once by ``_evaluate``, the same evaluator
     behind ``objective``; the anchor's score is the certificate bound, and
     the result is the argmin of the scores, so its objective never exceeds
-    the bound.  The solve is deterministic, and runs at the default
-    quadrature: ``seed`` and ``cfg`` are accepted for call compatibility and
-    unused.  This is ``minimize_many`` on a block of one
-    row, the solver's one calling convention; its evaluations take the scalar
-    steps.  Each descent runs ``_lbfgsb`` (``_descend``), through ``_lbfgs``
+    the bound.  The solve is deterministic, and runs at the one quadrature:
+    ``seed`` and ``cfg`` are accepted for call compatibility and unused.
+    This is ``minimize_many`` on a block of one row, the solver's one calling
+    convention; its evaluations take the scalar steps.  Each descent runs ``_lbfgsb`` (``_descend``), through ``_lbfgs``
     where a function is bound there: one put there before the first solve, or
     scipy's ``minimize`` where ``_load_lbfgs`` binds it.
     """

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, settings
 
-from oversmooth import ExperimentConfig, QuadratureConfig, ScaleOperator, run_rate_study
+from oversmooth import ExperimentConfig, ScaleOperator, run_rate_study
 
 settings.register_profile(
     "ci",
@@ -26,11 +26,6 @@ def no_process_left_running():
     yield
     if "multiprocessing" in sys.modules:
         assert sys.modules["multiprocessing"].active_children() == []
-
-
-@pytest.fixture(scope="session")
-def quad() -> QuadratureConfig:
-    return QuadratureConfig()
 
 
 @pytest.fixture(scope="session")

@@ -17,8 +17,8 @@ from oversmooth import (
 
 
 @pytest.fixture(scope="module")
-def ramp_problem(op256, quad):
-    return make_problem(op256, make_truth("hoelder", op256, p=1.0, cfg=quad))
+def ramp_problem(op256):
+    return make_problem(op256, make_truth("hoelder", op256, p=1.0))
 
 
 def test_forward_of_zero(op256):
@@ -114,38 +114,38 @@ def test_forward_monotone(base, shift):
 # -- ground truths ---------------------------------------------------------------
 
 
-def test_truth_hoelder_one_is_ramp(op256, quad):
-    u = make_truth("hoelder", op256, p=1.0, cfg=quad)
+def test_truth_hoelder_one_is_ramp(op256):
+    u = make_truth("hoelder", op256, p=1.0)
     assert np.array_equal(u.values, np.linspace(0.0, 1.0, 256))
 
 
-def test_truth_hoelder_half_interior(op256, quad):
+def test_truth_hoelder_half_interior(op256):
     x = np.linspace(0.0, 1.0, 256)
-    u = make_truth("hoelder", op256, p=0.5, cfg=quad)
+    u = make_truth("hoelder", op256, p=0.5)
     exact = 2.0 * np.sqrt(x / np.pi)
     assert np.max(np.abs(u.values - exact)[x > 0.1]) < 5e-3
     assert abs(u.values[-1] - 2.0 / math.sqrt(math.pi)) < 2e-3
 
 
-def test_truth_hoelder_validation(op256, quad):
+def test_truth_hoelder_validation(op256):
     with pytest.raises(ValueError):
-        make_truth("hoelder", op256, p=0.0, cfg=quad)
+        make_truth("hoelder", op256, p=0.0)
     with pytest.raises(ValueError):
-        make_truth("hoelder", op256, p=1.5, cfg=quad)
+        make_truth("hoelder", op256, p=1.5)
     with pytest.raises(ValueError):
-        make_truth("unknown", op256, cfg=quad)
+        make_truth("unknown", op256)
 
 
-def test_truth_generic_continuous(op256, quad):
-    u = make_truth("generic_continuous", op256, cfg=quad)
+def test_truth_generic_continuous(op256):
+    u = make_truth("generic_continuous", op256)
     assert u.values[0] == 0.0
     assert u.values[-1] == 1.0
     assert np.max(np.abs(np.diff(u.values))) < 0.25  # continuous profile
     assert np.all(np.diff(u.values) > 0.0)
 
 
-def test_truth_low_order_in_range(op256, quad):
-    u = make_truth("low_order", op256, cfg=quad)
+def test_truth_low_order_in_range(op256):
+    u = make_truth("low_order", op256)
     assert u.values[0] == 0.0
 
 
@@ -216,10 +216,10 @@ def test_nonlinearity_validation(ramp_problem):
         nonlinearity_check(ramp_problem, rho=0.5, eps=ramp_problem.c1 * 2.0)
 
 
-def test_nonlinearity_blocks_match_per_sample_loop(op64, quad):
+def test_nonlinearity_blocks_match_per_sample_loop(op64):
     # The samples run in row blocks; every row must equal the per-sample
     # computation written out, bit for bit.  37 samples leave a partial last block.
-    prob = make_problem(op64, make_truth("hoelder", op64, p=1.0, cfg=quad))
+    prob = make_problem(op64, make_truth("hoelder", op64, p=1.0))
     rho, eps, n_samples, seed = 0.5, prob.c1 / 2.0, 37, 3
     rng = np.random.default_rng(seed)
     f_truth = prob.forward(prob.u_true).values

@@ -282,8 +282,8 @@ def test_cli_rejects_invalid_study_fields(tmp_path, capsys, line):
 
 
 def test_cli_rejects_log_class_quadrature_work(tmp_path, capsys):
-    # A step of 2e-4 would ask the low-order truth for minutes of kernels; the quadrature
-    # is no setting, so the study ends at the config key before building any.
+    # The quadrature is no setting: a step key ends the study at the config file,
+    # before any kernel is built.
     path = tmp_path / "fine.cfg"
     path.write_text("regime = low_order\nquad_step = 2e-4\ngrid_n = 64\n")
     start = time.perf_counter()
@@ -364,6 +364,23 @@ def test_low_order_study_needs_three_levels(deltas, tmp_path, capsys):
     cfg_file.write_text(f"grid_n = 64\nregime = low_order\ndelta_list = {levels}\nn_seeds = 1\nmax_iter = 60\n")
     assert main(["rate-study", "--config", str(cfg_file)]) == 1
     assert capsys.readouterr().out.strip().splitlines()[-1] == "[rate-study] FAIL"
+
+
+def _constant_error_group(probs, fam, u_true, **kwargs):
+    # Every draw certified at u_true + 0.1: a method whose error never decreases.
+    off = GridFunction(u_true.values + 0.1)
+    return [SimpleNamespace(u_min=off, residual=0.0, penalty=0.0, certified=True) for _ in probs]
+
+
+def test_low_order_study_that_does_not_converge_fails(monkeypatch):
+    # Over the default deltas log(1/delta) spans a factor 4.5, so constant errors keep the
+    # bounded ratio under its limit; the convergence clause fails the study.
+    monkeypatch.setattr(harness, "minimize_many", _constant_error_group)
+    report = run_rate_study(ExperimentConfig(grid_n=64, regime="low_order", n_seeds=1))
+    assert [r.error_sup for r in report.rows] == pytest.approx([0.1] * 8)
+    assert all(r.certified for r in report.rows)
+    assert report.statistic == pytest.approx(4.5) and report.statistic <= harness.BOUNDED_RATIO_LIMIT
+    assert not report.passed
 
 
 #: sha256 of each session fixture's CSV and JSON report (conftest.py, timestamp "fixed").
@@ -666,7 +683,7 @@ def test_suite_worker_error_reaches_caller(monkeypatch):
     assert str(info.value) != f"quadrature failed in process {os.getpid()}"  # raised in a worker
 
 
-def _no_kernel_build(n, q, cfg):
+def _no_kernel_build(n, q):
     raise AssertionError(f"kernel n={n} q={q} built again in process {os.getpid()}")
 
 

@@ -31,8 +31,8 @@ def fam(op256):
 
 
 @pytest.fixture(scope="module")
-def hoelder_truth(op256, quad):
-    return make_truth("hoelder", op256, p=0.5, cfg=quad)
+def hoelder_truth(op256):
+    return make_truth("hoelder", op256, p=0.5)
 
 
 def random_unit(op, rng):
@@ -102,11 +102,11 @@ def test_regularizer_commutes_with_integral(fam):
         assert (lhs - rhs).sup_norm() <= 1e-10 * f.sup_norm()
 
 
-def test_regularized_power_bound(fam, quad):
+def test_regularized_power_bound(fam):
     # ||R_beta G^p u|| <= c beta^(p-1) with a uniform sampled constant.
     probes = unit_probes(fam.op.n, 30, 3)
     for p in (0.25, 0.5, 0.75, 1.0):
-        powered = [fam.op.power(p, u, quad) for u in probes]
+        powered = [fam.op.power(p, u) for u in probes]
         for beta in (1e-4, 1e-3, 1e-2, 1e-1):
             worst = max(fam.regularize(beta, w).sup_norm() for w in powered)
             assert worst * beta ** (1.0 - p) <= 4.0
@@ -209,36 +209,36 @@ def test_auxiliary_element_rejects_bad_a(op64, entry, a):
             gap_table(fam, [0.1], ones, zero, a=a)
 
 
-def test_decay_bounded_at_zero_order(fam, quad):
+def test_decay_bounded_at_zero_order(fam):
     betas = list(np.geomspace(1e-1, 1e-4, 7))
-    (rep,) = decay_check(fam, [0.0], betas, seed=0, cfg=quad)
+    (rep,) = decay_check(fam, [0.0], betas, seed=0)
     assert rep.max_ratio <= (fam.op.kappa_star + 1.0) ** fam.m
     assert abs(rep.fitted_slope) <= 0.2
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
-def test_decay_integer_orders(fam, quad, p):
+def test_decay_integer_orders(fam, p):
     betas = list(np.geomspace(1e-1, 1e-4, 7))
-    (rep,) = decay_check(fam, [p], betas, seed=0, cfg=quad)
+    (rep,) = decay_check(fam, [p], betas, seed=0)
     assert rep.max_ratio <= (fam.op.kappa_star + 1.0) ** fam.m
     assert abs(rep.fitted_slope - p) <= 0.15
 
 
-def test_decay_half_order_slope(fam, quad):
+def test_decay_half_order_slope(fam):
     betas = list(np.geomspace(1e-1, 1e-4, 7))
-    (rep,) = decay_check(fam, [0.5], betas, seed=0, cfg=quad)
+    (rep,) = decay_check(fam, [0.5], betas, seed=0)
     assert 0.45 <= rep.fitted_slope <= 0.55
 
 
-def test_decay_csv_format(fam, quad):
+def test_decay_csv_format(fam):
     betas = list(np.geomspace(1e-1, 1e-3, 3))
-    (rep,) = decay_check(fam, [1.0], betas, n_samples=5, seed=0, cfg=quad)
+    (rep,) = decay_check(fam, [1.0], betas, n_samples=5, seed=0)
     lines = rep.to_csv().strip().split("\n")
     assert lines[0] == "beta,norm,ratio"
     assert len(lines) == 4
 
 
-def test_decay_orders_match_written_out_definition(fam, quad, monkeypatch):
+def test_decay_orders_match_written_out_definition(fam, monkeypatch):
     # One call for all orders against max over probes w of ||S_beta G^p w|| per order and beta.
     # Orders 0 and 0.5 take the same operations as the definition; orders 1 and 2
     # apply G after S_beta instead of before, so they agree up to rounding.
@@ -249,10 +249,10 @@ def test_decay_orders_match_written_out_definition(fam, quad, monkeypatch):
     monkeypatch.setattr(lavrentiev, "unit_probes", lambda n, count, seed: list(probes))
     betas = list(np.geomspace(1e-1, 1e-4, 7))
     orders = (0.0, 1.0, 2.0, 0.5)
-    reports = decay_check(fam, orders, betas, n_samples=37, seed=0, cfg=quad)
+    reports = decay_check(fam, orders, betas, n_samples=37, seed=0)
     assert [rep.p for rep in reports] == list(orders)
     for p, rep in zip(orders, reports):
-        powered = [fam.op.power(p, w, quad) for w in probes]
+        powered = [fam.op.power(p, w) for w in probes]
         want = [max(fam.companion(b, w).sup_norm() for w in powered) for b in betas]
         assert rep.betas == tuple(betas)
         if p in (0.0, 0.5):
@@ -277,10 +277,10 @@ def test_decay_rejects_bad_order_lists(fam, orders, match):
         decay_check(fam, orders, list(np.geomspace(1e-1, 1e-4, 7)))
 
 
-def test_decay_single_order_returns_its_report(fam, quad):
+def test_decay_single_order_returns_its_report(fam):
     betas = list(np.geomspace(1e-1, 1e-3, 3))
-    single = decay_check(fam, 0.5, betas, n_samples=5, seed=0, cfg=quad)
-    assert single == decay_check(fam, [0.5], betas, n_samples=5, seed=0, cfg=quad)[0]
+    single = decay_check(fam, 0.5, betas, n_samples=5, seed=0)
+    assert single == decay_check(fam, [0.5], betas, n_samples=5, seed=0)[0]
 
 
 # -- auxiliary elements -----------------------------------------------------------
@@ -297,8 +297,8 @@ def test_aux_with_exact_guess(fam):
     assert (aux.u_aux - u_true).sup_norm() == 0.0
 
 
-def test_aux_forms_agree(fam, quad):
-    u_true = make_truth("hoelder", fam.op, p=0.5, cfg=quad)
+def test_aux_forms_agree(fam):
+    u_true = make_truth("hoelder", fam.op, p=0.5)
     aux = auxiliary_element(fam, 0.02, u_true, GridFunction.zeros(256))
     op = fam.op
     direct = op.apply(GridFunction.zeros(256)) + op.apply(aux.witness)
@@ -308,15 +308,15 @@ def test_aux_forms_agree(fam, quad):
     assert (aux.u_aux - companion_form).sup_norm() <= 1e-12 * (1.0 + u_true.sup_norm())
 
 
-def test_aux_consistency_guard(fam, quad, monkeypatch):
-    u_true = make_truth("hoelder", fam.op, p=0.5, cfg=quad)
+def test_aux_consistency_guard(fam, monkeypatch):
+    u_true = make_truth("hoelder", fam.op, p=0.5)
     monkeypatch.setattr(lavrentiev, "_AUX_FORMS_RTOL", 1e-18)
     with pytest.raises(InternalConsistencyError):
         auxiliary_element(fam, 0.02, u_true, GridFunction.zeros(256))
 
 
-def test_aux_hoelder_decay_slope(fam, quad):
-    u_true = make_truth("hoelder", fam.op, p=0.5, cfg=quad)
+def test_aux_hoelder_decay_slope(fam):
+    u_true = make_truth("hoelder", fam.op, p=0.5)
     betas = list(np.geomspace(1e-1, 1e-4, 7))
     g1 = [
         auxiliary_element(fam, b, u_true, GridFunction.zeros(256)).residual_to_truth
@@ -340,8 +340,8 @@ def test_gap_table_rejects_bad_betas(fam, betas):
         gap_table(fam, betas, GridFunction.ones(256), GridFunction.zeros(256))
 
 
-def test_gap_table_rows_are_auxiliary_elements(fam, quad):
-    u_true = make_truth("hoelder", fam.op, p=0.5, cfg=quad)
+def test_gap_table_rows_are_auxiliary_elements(fam):
+    u_true = make_truth("hoelder", fam.op, p=0.5)
     w = GridFunction(0.3 * np.sin(3.0 * np.linspace(0.0, 1.0, 256)))
     betas = [1e-1, 1e-2, 1e-3]
     table = gap_table(fam, betas, u_true, w, a=0.5)
@@ -359,16 +359,16 @@ def test_gap_table_zero_gap(fam):
     assert all(v == 0.0 for v in table.g1 + table.g2 + table.g3)
 
 
-def test_gap_table_hoelder_slopes(fam, quad):
-    u_true = make_truth("hoelder", fam.op, p=0.5, cfg=quad)
+def test_gap_table_hoelder_slopes(fam):
+    u_true = make_truth("hoelder", fam.op, p=0.5)
     betas = list(np.geomspace(1e-1, 1e-4, 7))
     table = gap_table(fam, betas, u_true, GridFunction.zeros(256), a=1.0)
     for vals in (table.g1, table.g2, table.g3):
         assert abs(fit_slope(list(zip(betas, vals))) - 0.5) <= 0.07
 
 
-def test_gap_table_generic_truth_decreases(fam, quad):
-    u_true = make_truth("generic_continuous", fam.op, cfg=quad)
+def test_gap_table_generic_truth_decreases(fam):
+    u_true = make_truth("generic_continuous", fam.op)
     betas = list(np.geomspace(1e-1, 1e-6, 11))
     table = gap_table(fam, betas, u_true, GridFunction.zeros(256), a=1.0)
     for vals in (table.g1, table.g2, table.g3):
@@ -387,14 +387,14 @@ def test_gap_table_csv_format(fam):
 
 
 @pytest.fixture(scope="module")
-def log_truth(op256, quad):
-    return log_smooth_element(op256, GridFunction.ones(256), 2.0, quad)
+def log_truth(op256):
+    return log_smooth_element(op256, GridFunction.ones(256), 2.0)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5])
-def test_companion_log_rate_bounded(fam, quad, log_truth, p):
+def test_companion_log_rate_bounded(fam, log_truth, p):
     # ||S_beta G^p u|| log(1/beta) / beta^p stays bounded for log-class u.
-    powered = fam.op.power(p, log_truth, quad)
+    powered = fam.op.power(p, log_truth)
     vals = [
         fam.companion(b, powered).sup_norm() * math.log(1.0 / b) / b**p
         for b in np.geomspace(1e-1, 1e-6, 11)
@@ -410,14 +410,14 @@ def test_regularizer_log_rate_bounded(fam, log_truth):
     assert max(vals) <= 2.0
 
 
-def test_gap_log_truth_bounded_in_resolved_zone(quad):
+def test_gap_log_truth_bounded_in_resolved_zone():
     # In the zone beta >= mesh width the log-rate band is tight; below the
     # mesh the discrete surrogate decays faster than 1/log (see README).
     from oversmooth import ScaleOperator
 
     op = ScaleOperator(1025)
     fam = RegularizerFamily(op, m=2)
-    u_true = log_smooth_element(op, GridFunction.ones(op.n), 2.0, quad)
+    u_true = log_smooth_element(op, GridFunction.ones(op.n), 2.0)
     betas = list(np.geomspace(1e-1, 1e-3, 9))
     table = gap_table(fam, betas, u_true, GridFunction.zeros(op.n), a=1.0)
     for vals in (table.g1, table.g2, table.g3):

@@ -31,8 +31,8 @@ from oversmooth.tikhonov import ANNEAL_TEMPS, SmoothedObjective
 
 
 @pytest.fixture(scope="module")
-def setup(op256, quad):
-    u_true = make_truth("hoelder", op256, p=1.0, cfg=quad)
+def setup(op256):
+    u_true = make_truth("hoelder", op256, p=1.0)
     problem = make_problem(op256, u_true)
     fam = RegularizerFamily(op256, m=2)
     return problem, fam, u_true
@@ -177,10 +177,10 @@ def test_overflowing_witness_scores_inf(setup, r):
         objective(prob, u, GridFunction(v))
 
 
-def test_overflowing_power_scores_inf(op64, quad):
+def test_overflowing_power_scores_inf(op64):
     # F is finite, near 1e200, but its residual's square overflows: T is inf, as
     # for an overflowing F, with no warning; objective names the power.
-    problem = make_problem(op64, make_truth("hoelder", op64, p=1.0, cfg=quad))
+    problem = make_problem(op64, make_truth("hoelder", op64, p=1.0))
     prob = make_prob(problem, 0.1, 0.3, r=2.0)
     v = np.full(64, 921.0)
     value, residual, penalty = tikhonov._evaluate(prob, v)
@@ -256,10 +256,10 @@ def test_minimize_result_consistent_with_objective(setup):
     assert objective(prob, res.u_min, res.v_min) == pytest.approx(res.objective, rel=1e-12)
 
 
-def test_objective_reproduces_solver_value_exactly(op256, quad):
+def test_objective_reproduces_solver_value_exactly(op256):
     # With a nonzero initial guess, F(u) and exp(G u_bar + G G v) round
     # differently; objective() must read T from the solver's own evaluator.
-    u_true = make_truth("hoelder", op256, p=0.5, cfg=quad)
+    u_true = make_truth("hoelder", op256, p=0.5)
     problem = make_problem(op256, u_true)
     x = np.linspace(0.0, 1.0, 256)
     prob = TikhonovProblem(
@@ -269,7 +269,7 @@ def test_objective_reproduces_solver_value_exactly(op256, quad):
         u_bar_witness=GridFunction(0.3 * np.sin(3.0 * x)),
         alpha=choose_alpha(ParamChoice("hoelder", p=0.5), 0.1, 1.0, 1.0),
     )
-    res = minimize(prob, RegularizerFamily(op256, m=2), u_true, max_iter=60, cfg=quad)
+    res = minimize(prob, RegularizerFamily(op256, m=2), u_true, max_iter=60)
     assert objective(prob, res.u_min, res.v_min) == res.objective
 
 
@@ -323,21 +323,21 @@ def test_minimize_ignores_seed(setup):
     ],
 )
 @pytest.mark.parametrize("entry", ["minimize", "minimize_many"])
-def test_max_iter_fails_where_it_enters(op64, quad, entry, max_iter, error, message):
+def test_max_iter_fails_where_it_enters(op64, entry, max_iter, error, message):
     # Not handed to scipy's maxiter as it comes, which ran and certified each of these.
-    u_true = make_truth("low_order", op64, cfg=quad)
+    u_true = make_truth("low_order", op64)
     prob = make_prob(make_problem(op64, u_true), 1e-2, 1e-2)
     fam = RegularizerFamily(op64, m=2)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         if entry == "minimize":
-            minimize(prob, fam, u_true, max_iter=max_iter, cfg=quad)
+            minimize(prob, fam, u_true, max_iter=max_iter)
         else:
             minimize_many([prob], fam, u_true, max_iter=max_iter)
 
 
-def test_smoothed_gradient_matches_finite_differences(op64, quad):
+def test_smoothed_gradient_matches_finite_differences(op64):
     # Directional derivatives of the fixed-temperature surrogate at n = 64.
-    u_true = make_truth("hoelder", op64, p=1.0, cfg=quad)
+    u_true = make_truth("hoelder", op64, p=1.0)
     problem = make_problem(op64, u_true)
     prob = make_prob(problem, 0.1, 0.1, seed=1)
     surrogate = SmoothedObjective([prob], [(0.05, 0.02)])  # a block of one row
@@ -356,12 +356,12 @@ def test_smoothed_gradient_matches_finite_differences(op64, quad):
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0])
-def test_value_and_grad_is_the_plain_formula(op256, quad, r):
+def test_value_and_grad_is_the_plain_formula(op256, r):
     # The in-place evaluation of a block of one row must give exactly the floats
     # of the out-of-place formula written out here, the overflow return
     # included, and leave v alone.
     op = op256
-    u_true = make_truth("hoelder", op, p=1.0, cfg=quad)
+    u_true = make_truth("hoelder", op, p=1.0)
     problem = make_problem(op, u_true)
     rng = np.random.default_rng(8)
     prob = TikhonovProblem(
@@ -521,10 +521,10 @@ def test_lockstep_rows_match_their_own_descents(op64, r):
     assert (got.nit, got.status) == (20, 1) and max(got.row_nfev) <= got.nfev < sum(got.row_nfev)
 
 
-def test_block_objective_needs_one_grid_and_r(setup, op64, quad):
+def test_block_objective_needs_one_grid_and_r(setup, op64):
     problem, _, _ = setup
     prob = make_prob(problem, 0.1, 0.3)
-    coarse = make_problem(op64, make_truth("hoelder", op64, p=1.0, cfg=quad))
+    coarse = make_problem(op64, make_truth("hoelder", op64, p=1.0))
     for other in (make_prob(problem, 0.1, 0.3, r=2.0), make_prob(coarse, 0.1, 0.3)):
         with pytest.raises(ValueError, match="^a block of problems must share the grid and r$"):
             SmoothedObjective([prob, other], [(1e-2, 1e-2)] * 2)
@@ -534,7 +534,7 @@ def test_block_objective_needs_one_grid_and_r(setup, op64, quad):
 @pytest.mark.parametrize("r", [1.0, 2.0])
 @pytest.mark.parametrize("k", [1, 3, 8])
 @pytest.mark.parametrize("n", [64, 257])
-def test_block_objective_rows_match_one_row_calls(n, k, r, quad):
+def test_block_objective_rows_match_one_row_calls(n, k, r):
     # Each row of a (k, n) block, and of a block of some of its rows, gets exactly
     # the floats of its own block of one; an overflowing row gets (inf, 0) and
     # leaves the other rows alone, and when every row overflows each gets
@@ -545,7 +545,7 @@ def test_block_objective_rows_match_one_row_calls(n, k, r, quad):
     # any other floating-point warning fails, and so does an overflow warning
     # from a descent that starts at the large row.
     op = ScaleOperator(n)
-    problem = make_problem(op, make_truth("hoelder", op, p=0.5, cfg=quad))
+    problem = make_problem(op, make_truth("hoelder", op, p=0.5))
     rng = np.random.default_rng(10 * n + k)
     probs = [
         TikhonovProblem(
@@ -614,9 +614,9 @@ def test_minimize_many_of_no_problems_is_empty(op64):
     assert tikhonov.minimize_many([], RegularizerFamily(op64, m=2), GridFunction.zeros(64)) == []
 
 
-def test_minimize_many_matches_one_by_one(op64, quad):
+def test_minimize_many_matches_one_by_one(op64):
     # Three problems solved as one block give each problem's own minimize result, bit for bit.
-    u_true = make_truth("hoelder", op64, p=0.5, cfg=quad)
+    u_true = make_truth("hoelder", op64, p=0.5)
     problem, fam = make_problem(op64, u_true), RegularizerFamily(op64, m=2)
     probs = [make_prob(problem, delta, delta**1.5, seed=i) for i, delta in enumerate((1e-1, 1e-2, 1e-3))]
     got = tikhonov.minimize_many(probs, fam, u_true, max_iter=60)
