@@ -11,8 +11,8 @@ the low-order regime, and the monotone-decrease check alone when no
 smoothness is constructed.  Reports freeze to CSV and JSON; identical
 configuration and seeds give byte-identical output
 (the JSON timestamp is injectable for that purpose).  The verification suites
-check the operator tools the rates rest on; on large grids the four operator
-suites run on the same worker pool.
+check the operator tools the rates rest on; the four operator suites run on
+the same worker pool.
 """
 
 from __future__ import annotations
@@ -275,9 +275,13 @@ def _pool_map(fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
     if workers <= 1:
         return [fn(task) for task in tasks]
     # Loaded here, not on import, so a process that never forks never loads them;
-    # loaded before the fork, so the workers inherit them.
+    # loaded before the fork, so the workers inherit them.  numpy loads random
+    # and fft lazily, on first use; a caller that has run no task itself has not.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+
+    import numpy.fft
+    import numpy.random
 
     # Fork, not spawn: a spawned worker would import numpy, scipy and oversmooth
     # anew, and could not take fn when it is a closure.
@@ -553,22 +557,12 @@ SUITE_NAMES: dict[str, Callable[[ExperimentConfig], CheckResult]] = {
 }
 
 
-#: Grid size from which ``run_suite`` runs the four operator suites on
-#: the worker pool.  The fork's break-even moves with host load: on 2 CPUs with
-#: warm kernels it lay between n=1025 (pooled 186 ms against 148 ms serial, the
-#: median of 11 interleaved pairs) and n=1281 (131 against 165 ms) in one batch,
-#: and near n=256 in quieter ones.  The threshold sits at the higher one, so no
-#: batch measured the pool slower above it (BENCH_operators.json).
-SUITE_POOL_MIN_N = 1153
-
-
 def run_suite(names: Sequence[str], cfg: ExperimentConfig | None = None) -> list[CheckResult]:
     """Run the named verification suites (all of them when names is empty), results in the order named.
 
-    From grid size ``SUITE_POOL_MIN_N`` on, the operator suites run
-    together on the worker pool of ``_pool_map``, one suite per task; below it
-    a fork costs more than it saves, and they run in this process.  Either way
-    the results are the same, byte for byte.  ``rate-study`` always runs in
+    The operator suites run together on the worker pool of ``_pool_map``, one
+    suite per task, and so in this process when it gives one worker.  Either
+    way the results are the same, byte for byte.  ``rate-study`` always runs in
     this process, after the pooled suites: it pools its own solves, and pools
     do not nest.
     """
@@ -578,11 +572,8 @@ def run_suite(names: Sequence[str], cfg: ExperimentConfig | None = None) -> list
     if unknown:
         raise ValueError(f"unknown suite name(s): {', '.join(unknown)}")
 
-    def pooled(name: str) -> bool:
-        return name != "rate-study" and cfg.grid_n >= SUITE_POOL_MIN_N
-
-    done = iter(_pool_map(lambda name: SUITE_NAMES[name](cfg), [n for n in picked if pooled(n)]))
-    return [next(done) if pooled(n) else SUITE_NAMES[n](cfg) for n in picked]
+    done = iter(_pool_map(lambda name: SUITE_NAMES[name](cfg), [n for n in picked if n != "rate-study"]))
+    return [SUITE_NAMES[n](cfg) if n == "rate-study" else next(done) for n in picked]
 
 
 # -- config files -----------------------------------------------------------------

@@ -643,7 +643,6 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     assert [row.residual for row in report.rows] == [1.0] * 4
     assert os.getpid() not in {row.penalty for row in report.rows}
 
-    monkeypatch.setattr(harness, "SUITE_POOL_MIN_N", 0)
     for name in OPERATOR_SUITES:
         monkeypatch.setitem(SUITE_NAMES, name, _blas_threads_suite)
     results = run_suite(OPERATOR_SUITES, fast_config())
@@ -655,17 +654,11 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
 # -- operator suites on the worker pool -------------------------------------------
 
 
-def pool_suites(monkeypatch):
-    """Two workers, and the operator suites pooled at every grid size."""
-    force_workers(monkeypatch, 2)
-    monkeypatch.setattr(harness, "SUITE_POOL_MIN_N", 0)
-
-
 @pytest.mark.parametrize("n", [65, 129])
 def test_suite_pool_matches_serial(monkeypatch, n):
     force_workers(monkeypatch, 1)
     serial = run_suite(OPERATOR_SUITES, ExperimentConfig(grid_n=n))
-    pool_suites(monkeypatch)
+    force_workers(monkeypatch, 2)
     pooled = run_suite(OPERATOR_SUITES, ExperimentConfig(grid_n=n))
     assert [r.name for r in pooled] == list(OPERATOR_SUITES)
     assert pooled == serial  # name, verdict, lines and artifacts
@@ -676,7 +669,7 @@ def _failing_suite(cfg):
 
 
 def test_suite_worker_error_reaches_caller(monkeypatch):
-    pool_suites(monkeypatch)
+    force_workers(monkeypatch, 2)
     monkeypatch.setitem(SUITE_NAMES, "aux-rates", _failing_suite)
     with pytest.raises(QuadratureError, match="quadrature failed in process") as info:
         run_suite(OPERATOR_SUITES, ExperimentConfig(grid_n=65))
@@ -690,7 +683,7 @@ def _no_kernel_build(n, q):
 def test_suite_pool_hands_kernels_back(monkeypatch):
     # The first pooled pass builds every kernel in the workers; the caller keeps
     # them, read-only, and the next pass's workers inherit them and build none.
-    pool_suites(monkeypatch)
+    force_workers(monkeypatch, 2)
     monkeypatch.setattr(scale, "_kernels", {})
     cfg = ExperimentConfig(grid_n=65)
     first = run_suite(OPERATOR_SUITES, cfg)
@@ -703,7 +696,7 @@ def test_suite_pool_hands_kernels_back(monkeypatch):
 def test_run_suite_runs_rate_study_in_caller(monkeypatch):
     # The suites go to one pool and the study's solves to another, both started
     # by this process: a pool worker never starts a pool.
-    pool_suites(monkeypatch)
+    force_workers(monkeypatch, 2)
     caller = os.getpid()
     pools = []
     pool_map = harness._pool_map

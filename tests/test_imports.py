@@ -18,7 +18,8 @@ harness._worker_count = lambda n_tasks: 1
 ov.run_suite(("fracpow-check", "decay-check", "aux-rates", "nonlinearity-check"), ov.ExperimentConfig(grid_n=65))
 """
 
-# The same suites on two forked workers, each suite wrapped to report from its worker.
+# The same suites on two forked workers, each suite wrapped to report from its worker,
+# with whether numpy's lazily loaded random and fft were already loaded when it started.
 POOLED_SUITES = """
 import os
 import sys
@@ -26,11 +27,13 @@ import oversmooth as ov
 from oversmooth import harness
 
 def reporting(suite):
-    return lambda cfg: (suite(cfg).name, os.getpid(), "scipy.linalg" in sys.modules)
+    def run(cfg):
+        inherited = all(name in sys.modules for name in ("numpy.random", "numpy.fft"))
+        return suite(cfg).name, os.getpid(), "scipy.linalg" in sys.modules, inherited
+    return run
 
 names = ("fracpow-check", "decay-check", "aux-rates", "nonlinearity-check")
 harness._worker_count = lambda n_tasks: min(2, n_tasks)
-harness.SUITE_POOL_MIN_N = 0
 for name in names:
     harness.SUITE_NAMES[name] = reporting(harness.SUITE_NAMES[name])
 reports = ov.run_suite(names, ov.ExperimentConfig(grid_n=65))
@@ -88,22 +91,29 @@ print(json.dumps([reports, os.getpid(), "scipy.linalg" in sys.modules]))
 """)
     reports, caller, in_caller = pooled
     assert serial is False and in_caller is False
-    assert [name for name, _, _ in reports] == ["fracpow-check", "decay-check", "aux-rates", "nonlinearity-check"]
-    assert caller not in {pid for _, pid, _ in reports}
-    assert [loaded for _, _, loaded in reports] == [False] * 4
+    assert [report[0] for report in reports] == ["fracpow-check", "decay-check", "aux-rates", "nonlinearity-check"]
+    assert caller not in {report[1] for report in reports}
+    assert [report[2] for report in reports] == [False] * 4
 
 
 def test_pool_modules_load_at_the_first_pool():
     # multiprocessing and concurrent.futures bring socket, subprocess, logging
     # and queue: about 17 ms of import and 1.2 MB (BENCH_setup.json).  A process
     # loads them when it first builds a pool, before the fork, and not before.
+    # It loads numpy's random (about 12 ms) and fft there too, which numpy
+    # imports on first use, so no worker of any pool imports them again.
     probe = """
 import json
 print(json.dumps([name in sys.modules for name in ("multiprocessing", "concurrent.futures")]))
 """
     assert run_probe("import sys\nimport oversmooth as ov\n" + SOLVE + probe) == [False, False]
     assert run_probe(SUITES + probe) == [False, False]
-    assert run_probe(POOLED_SUITES + probe) == [True, True]
+    pooled = run_probe(POOLED_SUITES + """
+import json
+loaded = [name in sys.modules for name in ("multiprocessing", "concurrent.futures")]
+print(json.dumps([loaded, [report[3] for report in reports]]))
+""")
+    assert pooled == [[True, True], [True] * 4]
 
 
 def test_extensions_load_alone_through_one_loader():
