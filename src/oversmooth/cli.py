@@ -21,8 +21,6 @@ def _add_study_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--regime", choices=sorted(REGIME_NAMES), default=None)
     parser.add_argument("--p", type=float, default=None, help="smoothness order for the hoelder regime")
     parser.add_argument("--r", type=float, default=None, help="functional exponent")
-    parser.add_argument("--m", type=int, default=None, help="Lavrentiev iteration count")
-    parser.add_argument("--alpha-c", dest="c_alpha", type=float, default=None, help="constant in the alpha rule")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,9 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in [name for name in SUITE_NAMES if name != "rate-study"]:
-        p = sub.add_parser(name, help=f"run the {name} verification suite")
-        _add_common(p)
-        p.add_argument("--m", type=int, default=None, help="Lavrentiev iteration count")
+        _add_common(sub.add_parser(name, help=f"run the {name} verification suite"))
     study = sub.add_parser("rate-study", help="run one configured rate study")
     _add_common(study)
     _add_study_flags(study)

@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar, get_type_hints
+from typing import Callable, ClassVar, Iterable, Sequence, TypeVar, get_type_hints
 
 import numpy as np
 
@@ -77,14 +77,14 @@ BOUNDED_RATIO_LIMIT = 5.0
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Configuration of one rate study (and grid/seed defaults for the suites)."""
+    """A rate study's settings (and the suites' grid and seed); ``m`` and the alpha rule's C = 1 are fixed."""
 
     grid_n: int = 256
     regime: str = "hoelder"
     p: float = 1.0
     r: float = 1.0
-    m: int = 2
-    c_alpha: float = 1.0
+    #: The Lavrentiev saturation: the least the error analysis admits, m >= 1 + a.
+    m: ClassVar[int] = math.ceil(1 + ExpVolterraProblem.a)
     delta_list: tuple[float, ...] = field(default_factory=lambda: tuple(np.geomspace(1e-1, 10**-4.5, 8)))
     seed: int = 0
     n_seeds: int = 5
@@ -92,9 +92,9 @@ class ExperimentConfig:
     max_iter: int = 300
 
     def __post_init__(self) -> None:
-        for name, least in (("grid_n", 64), ("m", None), ("seed", 0), ("n_seeds", 1), ("max_iter", 1)):
+        for name, least in (("grid_n", 64), ("seed", 0), ("n_seeds", 1), ("max_iter", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        for name in ("p", "r", "c_alpha"):
+        for name in ("p", "r"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.n_seeds > _MAX_SEEDS:
@@ -102,8 +102,6 @@ class ExperimentConfig:
         if self.regime not in REGIME_NAMES:
             raise ValueError(f"unknown regime: {self.regime!r}")
         object.__setattr__(self, "regime", REGIME_NAMES[self.regime])
-        if self.m < 1 + ExpVolterraProblem.a:
-            raise ValueError("need saturation m >= 1 + a")
         deltas = tuple(float(d) for d in self.delta_list)
         if not deltas:
             raise ValueError("delta_list needs at least one noise level")
@@ -124,7 +122,7 @@ class ExperimentConfig:
         return QuadratureConfig()
 
     def param_choice(self) -> ParamChoice:
-        return ParamChoice(self.regime, p=self.p, C=self.c_alpha)
+        return ParamChoice(self.regime, p=self.p)
 
 
 @dataclass(frozen=True)
@@ -334,10 +332,11 @@ def run_rate_study(cfg: ExperimentConfig, timestamp: str | None = None) -> RateR
     one worker, all problems are one block in this process).  Each solve's floats
     are its own whatever block it is in, and results are put back in task
     order, so the report is byte-identical whatever the worker count.  An
-    exception from a solve, such as a ``QuadratureError``, reaches the caller
-    with its type.  The pool is ``_pool_map``'s, and a pool worker cannot start
-    one, so the study never runs in a worker: ``run_suite`` runs it in the
-    caller, after its pooled suites.
+    exception from a solve, such as the ``ImportError`` of a scipy without
+    scipy 1.17's ``setulb``, reaches the caller with its type.  The pool is
+    ``_pool_map``'s, and a pool worker cannot start one, so the study never
+    runs in a worker: ``run_suite`` runs it in the caller, after its pooled
+    suites.
     """
     op = ScaleOperator(cfg.grid_n)
     regime_truth = {"hoelder": "hoelder", "low_order": "low_order", "none": "generic_continuous"}
@@ -566,6 +565,8 @@ def run_suite(names: Sequence[str], cfg: ExperimentConfig | None = None) -> list
     this process, after the pooled suites: it pools its own solves, and pools
     do not nest.
     """
+    if isinstance(names, str):
+        raise TypeError(f"names must be a sequence of suite names, got the string {names!r}")
     cfg = cfg if cfg is not None else ExperimentConfig()
     picked = list(names) if names else list(SUITE_NAMES)
     unknown = [n for n in picked if n not in SUITE_NAMES]
@@ -585,8 +586,9 @@ def parse_config_file(path: str | Path, overrides: dict[str, object] | None = No
     ``delta_list`` is comma separated.  The ``overrides`` fields replace the file's, and the result
     is validated once; an invalid result names the file, unless the overrides alone are invalid.
     """
+    hints = get_type_hints(ExperimentConfig)
     parsers = {
-        **get_type_hints(ExperimentConfig),
+        **{f.name: hints[f.name] for f in dataclasses.fields(ExperimentConfig)},
         "delta_list": lambda value: tuple(float(tok) for tok in value.split(",") if tok.strip()),
     }
     values: dict[str, object] = {}

@@ -18,6 +18,7 @@ import pytest
 
 from oversmooth import (
     ExperimentConfig,
+    ExpVolterraProblem,
     GridFunction,
     RegularizerFamily,
     ScaleOperator,
@@ -89,8 +90,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(grid_n=32)
     with pytest.raises(ValueError):
-        ExperimentConfig(m=1)  # saturation below 1 + a
-    with pytest.raises(ValueError):
         ExperimentConfig(delta_list=(1e-3, 1e-2))
     with pytest.raises(ValueError, match="at least one noise level"):
         ExperimentConfig(delta_list=())
@@ -111,7 +110,6 @@ def test_config_file_parsing(tmp_path):
         regime = low_order
         delta_list = 1e-1, 1e-2, 1e-3
         n_seeds = 2
-        c_alpha = 2.5
         """
     )
     cfg = parse_config_file(path)
@@ -119,7 +117,6 @@ def test_config_file_parsing(tmp_path):
     assert cfg.regime == "low_order"
     assert cfg.delta_list == (1e-1, 1e-2, 1e-3)
     assert cfg.n_seeds == 2
-    assert cfg.c_alpha == 2.5
 
     # Every field round-trips with its own type; integral text for a float
     # field (r = 2) must still come back as a float.
@@ -128,8 +125,6 @@ def test_config_file_parsing(tmp_path):
         "regime": "low_order",
         "p": 0.75,
         "r": 2.0,
-        "m": 3,
-        "c_alpha": 2.5,
         "delta_list": (1e-1, 1e-2, 1e-3),
         "seed": 7,
         "n_seeds": 2,
@@ -228,7 +223,6 @@ def test_config_rejects_more_draws_than_a_level_has_seeds():
         (ScaleOperator, "n", 2.5),
         *((lambda **kw: RegularizerFamily(ScaleOperator(64), **kw), "m", v) for v in (2.5, math.nan, math.inf)),
         (ExperimentConfig, "grid_n", 64.5),
-        (ExperimentConfig, "m", 2.5),
         (ExperimentConfig, "seed", 0.5),
         (ExperimentConfig, "n_seeds", 1.5),
         (ExperimentConfig, "max_iter", 2.5),
@@ -241,10 +235,8 @@ def test_integer_fields_reject_other_numbers(build, name, value):
 
 
 def test_integer_fields_store_numpy_integers_as_python_ints():
-    names = ("grid_n", "m", "seed", "n_seeds", "max_iter")
-    cfg = ExperimentConfig(
-        grid_n=np.int64(64), m=np.int32(2), seed=np.int64(0), n_seeds=np.int64(1), max_iter=np.int16(60)
-    )
+    names = ("grid_n", "seed", "n_seeds", "max_iter")
+    cfg = ExperimentConfig(grid_n=np.int64(64), seed=np.int64(0), n_seeds=np.int64(1), max_iter=np.int16(60))
     assert [type(getattr(cfg, name)) for name in names] == [int] * len(names)
     assert json.loads(json.dumps(dataclasses.asdict(cfg)))["n_seeds"] == 1
     assert type(ScaleOperator(np.int64(64)).n) is int
@@ -258,12 +250,10 @@ BAD_CONFIG_LINES = {
     "seed = -1": "seed must be non-negative",
     "n_seeds = 1001": "n_seeds must be at most 1000",
     "p = 1.5": "order p in (0, 1]",
-    "c_alpha = 0": "constant C must be positive",
     "r = 0": "exponents r and a must be positive",
     "noise_kind = foo": "unknown noise kind: 'foo'",
     "p = nan": "p must be finite",
     "r = inf": "r must be finite",
-    "c_alpha = nan": "c_alpha must be finite",
     "delta_list = nan": "noise levels must be positive and finite",
     "delta_list = inf, 0.1": "noise levels must be positive and finite",
     "regime = low_order\ndelta_list = 1.0, 0.1, 0.01": "low-order noise levels must be below 1",
@@ -297,12 +287,15 @@ def test_cli_rejects_log_class_quadrature_work(tmp_path, capsys):
     [
         "warm_chaining = true",
         "n_random_starts = 2",
-        # The quadrature is scale's, the two gates are harness constants and a is the model's, not settings.
+        # The quadrature is scale's, the two gates are harness constants, a is the model's and the
+        # saturation m and the alpha rule's constant are the method's, not settings.
         "tail_tol = 1e-7",
         "quad_step = 0.04",
         "slope_tolerance = 0.5",
         "bounded_ratio_limit = 50",
         "a = 2",
+        "m = 2",
+        "c_alpha = 1.0",
     ],
 )
 def test_config_file_rejects_removed_keys(tmp_path, capsys, line):
@@ -313,6 +306,26 @@ def test_config_file_rejects_removed_keys(tmp_path, capsys, line):
         parse_config_file(path)
     assert main(["rate-study", "--config", str(path)]) == 2
     assert capsys.readouterr().err.strip() == f"error: {path}:2: unknown config key '{key}'"
+
+
+@pytest.mark.parametrize("kwargs", [{"m": 3}, {"c_alpha": 2.0}])
+def test_config_takes_no_method_constant(kwargs):
+    with pytest.raises(TypeError):
+        ExperimentConfig(**kwargs)
+
+
+def test_config_saturation_is_the_least_the_analysis_admits():
+    assert ExperimentConfig.m == ExperimentConfig().m == 2 >= 1 + ExpVolterraProblem.a
+    assert type(ExperimentConfig.m) is int
+    assert "m" not in json.loads(json.dumps(dataclasses.asdict(ExperimentConfig())))
+
+
+@pytest.mark.parametrize("flag, value", [("--m", "3"), ("--alpha-c", "0.5")])
+def test_cli_rejects_method_constant_flags(monkeypatch, capsys, flag, value):
+    # A usage error, before any pool starts.
+    monkeypatch.setattr(harness, "_pool_map", lambda fn, tasks: pytest.fail("pool started"))
+    assert main(["rate-study", flag, value]) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 # -- rate studies ------------------------------------------------------------------
@@ -387,27 +400,27 @@ def test_low_order_study_that_does_not_converge_fails(monkeypatch):
 FIXTURE_DIGESTS = {
     "study_hoelder_p1": (
         "4c307b17d6694880856366d20b3113991ee804474767a76551fed673a3328963",
-        "6b6bbc92c93623dfc876b670814a4f4c067b71e4e10acf74cbeb9c4039a42ac4",
+        "7e1edc6e8f8b859673bb49c7833e26f61cdce442ff7f2a7284537bb7b9514df3",
     ),
     "study_hoelder_p05": (
         "1972103459c2ba887893c202b57a324a20f015b8f165404efe3dc014b41fee32",
-        "2e870e98d70421a0e24204499d599dee66cb94e583bed09e73d696cf31024789",
+        "dc7dcd096cb1d6431e4cb5ebdd3dfee316816271eef7d258937baff9a3cfa5cd",
     ),
     "study_low_order": (
         "9a308980514d39d9c165c48c6ac59a11054f2c56333f2dc34bb999826dfc2fe5",
-        "c997fd004c61f9ca85d71bdb2bdd1d04123453f04fce24cb05af3c9873ff736a",
+        "5d7c6957f2822b8590dd5dd4ba37d3075f0327cf583b73569c7b54367b0ccf27",
     ),
     "study_none": (
         "d742eb45b0e25dfad246ee81e28e26855ffae7f9bcada48d54af673ed32e2d18",
-        "89239f9d1bffcfeb1155771832e4ad86bdb3a77b7d76724fb6cc5eff1c13e4cf",
+        "69083a0fe5b2ebda33d851dbc74022dec9095f5a5a689b47ed79c9bae23bcec9",
     ),
     "study_hoelder_p1_n128": (
         "d302f70fe8eeff61e4171954eab52ef9806dc8f4f4d239a8b6b43d9b67259d84",
-        "66dafa683f13d4bc4069527929a5472c65929ea4d5a6939d3f15680a6091e094",
+        "514bd6cbf610de38958de12364072a30001e9d1a081ecb1c64bd0fb34567115d",
     ),
     "study_hoelder_p05_n128": (
         "3e733ccd985f21917f1475111aa4a61c855ddc1d070913ce659d59f8f27c8dba",
-        "ee889a8ab1d4270d7b76fe85e8ad133a75ef4dc09cb1ae1cb602f521c36bc02a",
+        "e35b8f3787f63b14848bde9f9e9ec114f6c3602ac683069a19778cbba6638a47",
     ),
 }
 
@@ -749,6 +762,13 @@ def test_run_suite_unknown_name():
         run_suite(["nope"])
 
 
+def test_run_suite_rejects_a_string(monkeypatch):
+    # One name is a sequence of one name, not of its characters; rejected before any pool starts.
+    monkeypatch.setattr(harness, "_pool_map", lambda fn, tasks: pytest.fail("pool started"))
+    with pytest.raises(TypeError, match="^names must be a sequence of suite names, got the string 'decay-check'$"):
+        run_suite("decay-check", fast_config())
+
+
 def test_run_suite_subset():
     results = run_suite(["decay-check"], fast_config(grid_n=128))
     assert len(results) == 1
@@ -850,13 +870,13 @@ def test_cli_rejects_negative_seed(monkeypatch, capsys):
 def test_cli_flags_override_config_file(tmp_path):
     cfg_file = tmp_path / "base.cfg"
     cfg_file.write_text(
-        "grid_n = 64\nseed = 1\nregime = none\np = 0.5\nr = 1.0\nm = 2\nc_alpha = 1.0\nn_seeds = 3\n"
+        "grid_n = 64\nseed = 1\nregime = none\np = 0.5\nr = 1.0\nn_seeds = 3\n"
     )
     argv = ["rate-study", "--config", str(cfg_file), "--grid-n", "128", "--seed", "9",
-            "--regime", "low-order", "--p", "0.25", "--r", "2", "--m", "3", "--alpha-c", "0.5"]
+            "--regime", "low-order", "--p", "0.25", "--r", "2"]
     cfg = _config_from_args(build_parser().parse_args(argv))
     assert (cfg.grid_n, cfg.seed, cfg.regime) == (128, 9, "low_order")
-    assert (cfg.p, cfg.r, cfg.m, cfg.c_alpha) == (0.25, 2.0, 3, 0.5)
+    assert (cfg.p, cfg.r) == (0.25, 2.0)
     assert cfg.n_seeds == 3
 
 
